@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
     sopts.port = 0;
     sopts.num_workers = kWorkers;
     sopts.max_in_flight = 256;  // deep accept queue for both configurations
-    if (adaptive) sopts.admission = &admission;
+    if (adaptive) sopts.connection.admission = &admission;
     rpc::RpcServer server(work_dispatcher(), sopts);
     auto port = server.start();
     if (!port.is_ok()) {

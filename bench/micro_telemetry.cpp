@@ -54,7 +54,7 @@ std::vector<double> run_round_trips(std::size_t iters,
   ServerOptions server_options;
   server_options.port = 0;
   server_options.num_workers = 2;
-  server_options.metrics = metrics;
+  server_options.connection.metrics = metrics;
   RpcServer server(dispatcher, server_options);
   auto port = server.start();
   if (!port.is_ok()) {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <map>
+#include <mutex>
 #include <string>
 
 #include "clarens/credentials.h"
@@ -20,6 +21,8 @@ struct AuthOptions {
   double session_ttl_seconds = 3600.0;
 };
 
+/// Thread-safe: a host's RPC workers log in, authenticate and log out
+/// concurrently.
 class AuthService {
  public:
   explicit AuthService(const Clock& clock, AuthOptions options = {});
@@ -56,6 +59,8 @@ class AuthService {
   const Clock& clock_;
   AuthOptions options_;
   const CertificateAuthority* ca_ = nullptr;
+  /// Guards secrets_ and sessions_.
+  mutable std::mutex mutex_;
   std::map<std::string, std::string> secrets_;  // user -> secret
   mutable std::map<std::string, Session> sessions_;
 };

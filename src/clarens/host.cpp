@@ -74,8 +74,8 @@ Result<std::uint16_t> ClarensHost::serve(std::uint16_t port) {
   rpc::ServerOptions opts;
   opts.port = port;
   opts.num_workers = options_.rpc_workers;
-  opts.metrics = options_.metrics;
-  opts.admission = options_.admission;
+  opts.connection.metrics = options_.metrics;
+  opts.connection.admission = options_.admission;
   server_ = std::make_unique<rpc::RpcServer>(dispatcher_, opts);
   auto bound = server_->start();
   if (!bound.is_ok()) {

@@ -37,7 +37,7 @@ struct HostOptions {
   telemetry::MetricsRegistry* metrics = nullptr;
   telemetry::Tracer* tracer = nullptr;
   /// Adaptive admission control for the TCP transport (see
-  /// rpc::ServerOptions::admission); service bindings may also consult it
+  /// rpc::ConnectionOptions::admission); service bindings may also consult it
   /// for brownout (degraded-mode) decisions. Null = static cap only. Must
   /// outlive the host.
   AdmissionController* admission = nullptr;

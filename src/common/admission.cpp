@@ -51,8 +51,7 @@ double AdmissionController::latency_floor_locked() const {
   return std::min(floor_current_, floor_previous_);
 }
 
-void AdmissionController::on_sample(std::uint64_t latency_us, bool error) {
-  (void)error;  // handler faults are answers, not congestion signals
+void AdmissionController::on_sample(std::uint64_t latency_us) {
   const SimTime now = clock_.now();
   const double sample = static_cast<double>(latency_us);
 

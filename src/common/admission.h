@@ -105,9 +105,10 @@ class AdmissionController {
   bool try_admit(Criticality tier);
   void release();
 
-  /// Feed one completed request: handler latency and whether it errored.
-  /// Drives the AIMD limit update.
-  void on_sample(std::uint64_t latency_us, bool error);
+  /// Feed one completed request's handler latency. Drives the AIMD limit
+  /// update; handler faults are answers, not congestion signals, so only
+  /// the latency counts.
+  void on_sample(std::uint64_t latency_us);
 
   /// CoDel check on one acceptor-queue delay observation. True = the queue
   /// has been persistently above target; shed this connection.

@@ -229,13 +229,14 @@ void Cluster::build_jobmon_pair() {
         on_promoted();
       }));
 
-  SimHostOptions host_opts;
-  host_opts.port = kJobmonPort;
+  rpc::ConnectionOptions host_opts;
   host_opts.recv_timeout_ms = 1000;
   host_opts.admission = &admission_a_;
-  shost_a_ = std::make_unique<SimHost>(net_, "jobmon-a", host_a_.dispatcher_ptr(), host_opts);
+  shost_a_ = std::make_unique<SimHost>(net_, "jobmon-a", host_a_.dispatcher_ptr(), kJobmonPort,
+                                       host_opts);
   host_opts.admission = &admission_b_;
-  shost_b_ = std::make_unique<SimHost>(net_, "jobmon-b", host_b_.dispatcher_ptr(), host_opts);
+  shost_b_ = std::make_unique<SimHost>(net_, "jobmon-b", host_b_.dispatcher_ptr(), kJobmonPort,
+                                       host_opts);
   shost_a_->start();
   shost_b_->start();
 }
@@ -260,14 +261,12 @@ void Cluster::build_satellite_services() {
   steering_svc_ = std::make_unique<steering::SteeringService>(deps, steer_opts);
   steering::register_steering_methods(host_steer_, *steering_svc_, nullptr, &metrics_);
 
-  SimHostOptions host_opts;
+  rpc::ConnectionOptions host_opts;
   host_opts.recv_timeout_ms = 1000;
-  host_opts.port = kEstimatorPort;
   shost_est_ = std::make_unique<SimHost>(net_, "estimator-1", host_est_.dispatcher_ptr(),
-                                         host_opts);
-  host_opts.port = kSteeringPort;
+                                         kEstimatorPort, host_opts);
   shost_steer_ = std::make_unique<SimHost>(net_, "steering-1", host_steer_.dispatcher_ptr(),
-                                           host_opts);
+                                           kSteeringPort, host_opts);
   shost_est_->start();
   shost_steer_->start();
 }
@@ -337,11 +336,11 @@ void Cluster::apply(const Action& action) {
       // A clean restart replays the local log (dropping memory-only state);
       // a latched store skips replay and stays degraded, as on real media.
       if (health_a_.writable()) (void)jms_a_->mutable_db().recover();
-      SimHostOptions host_opts;
-      host_opts.port = kJobmonPort;
+      rpc::ConnectionOptions host_opts;
       host_opts.recv_timeout_ms = 1000;
       host_opts.admission = &admission_a_;
-      shost_a_ = std::make_unique<SimHost>(net_, "jobmon-a", host_a_.dispatcher_ptr(), host_opts);
+      shost_a_ = std::make_unique<SimHost>(net_, "jobmon-a", host_a_.dispatcher_ptr(),
+                                           kJobmonPort, host_opts);
       shost_a_->start();
       break;
     }

@@ -3,24 +3,23 @@
 #include <utility>
 
 #include "rpc/deadline.h"
-#include "rpc/http.h"
 
 namespace gae::dst {
 
 SimHost::SimHost(SimNetwork& net, std::string node, std::shared_ptr<rpc::Dispatcher> dispatcher,
-                 SimHostOptions options)
-    : net_(net), node_(std::move(node)), dispatcher_(std::move(dispatcher)),
-      options_(options) {}
+                 std::uint16_t port, rpc::ConnectionOptions options)
+    : net_(net), node_(std::move(node)), port_(port),
+      engine_(std::move(dispatcher), options) {}
 
 SimHost::~SimHost() { stop(); }
 
 Status SimHost::start() {
   if (running_) return Status::ok();
-  auto bound = net_.listen_push(node_, options_.port, [this](std::unique_ptr<SimStream> stream) {
+  auto bound = net_.listen_push(node_, port_, [this](std::unique_ptr<SimStream> stream) {
     on_connection(std::move(stream));
   });
   if (!bound.is_ok()) return bound.status();
-  options_.port = bound.value();
+  port_ = bound.value();
   running_ = true;
   return Status::ok();
 }
@@ -28,74 +27,28 @@ Status SimHost::start() {
 void SimHost::stop() {
   if (!running_) return;
   running_ = false;
-  net_.close_port(node_, options_.port);
+  net_.close_port(node_, port_);
   conns_.clear();  // destroys streams -> closes endpoints
 }
 
 void SimHost::on_connection(std::unique_ptr<SimStream> stream) {
   if (!running_) return;
-  stream->set_recv_timeout_ms(options_.recv_timeout_ms);
-  conns_.emplace_back();
+  engine_.open(*stream);
+  conns_.push_back(Conn{std::move(stream), {rpc::steady_now_us()}});
   Conn* conn = &conns_.back();
-  conn->stream = std::move(stream);
   conn->stream->set_on_readable([this, conn] { service_conn(conn); });
 }
 
 void SimHost::service_conn(Conn* conn) {
-  // A handler mid-request pumps the network re-entrantly; further
-  // deliveries to this connection must only append bytes, not start a
-  // second handler.
-  if (conn->in_service) return;
-  conn->in_service = true;
-
-  const rpc::http::ReadLimits limits{options_.max_header_bytes, options_.max_body_bytes};
-  bool close_conn = false;
-  while (running_ && !close_conn && conn->stream->has_buffered()) {
-    auto req = rpc::http::read_request(*conn->stream, limits);
-    if (!req.is_ok()) {
-      // Clean close, reset, garbage, or a request whose tail never arrived
-      // before the receive timeout: the connection is done either way.
-      close_conn = true;
-      break;
-    }
-    const std::int64_t picked_up_us = rpc::steady_now_us();
-    rpc::CallContext ctx = rpc::rpc_context_from_request(req.value(), picked_up_us, 0);
-    const bool keep = req.value().keep_alive();
-
-    rpc::http::Response resp;
-    if (options_.admission != nullptr && !options_.admission->try_admit(ctx.tier)) {
-      ++shed_;
-      resp = rpc::rpc_shed_response(rpc::rpc_request_is_json(req.value()));
-    } else {
-      const bool holds_ticket = options_.admission != nullptr;
-      resp = rpc::rpc_dispatch_request(
-          req.value(), ctx,
-          [this](const std::string& method, const rpc::Array& params,
-                 const rpc::CallContext& call_ctx) {
-            ++requests_;
-            return dispatcher_->dispatch(method, params, call_ctx);
-          });
-      if (holds_ticket) {
-        options_.admission->on_sample(
-            static_cast<std::uint64_t>(rpc::steady_now_us() - picked_up_us),
-            resp.status_code >= 500);
-        options_.admission->release();
-      }
-    }
-    if (!rpc::http::write_response(*conn->stream, resp, keep).is_ok() || !keep) close_conn = true;
+  // SimNetwork does not re-enter this callback for a connection whose
+  // handler is still running (it may pump the network mid-request); bytes
+  // delivered meanwhile wait in the buffer for this loop.
+  bool open = true;
+  while (open && running_ && conn->stream->has_buffered()) {
+    open = engine_.serve_one(*conn->stream, conn->state);
   }
-  if (!close_conn && conn->stream->peer_gone()) close_conn = true;
-
-  if (close_conn) {
-    for (auto it = conns_.begin(); it != conns_.end(); ++it) {
-      if (&*it == conn) {
-        conns_.erase(it);  // destroys the stream; conn is dangling from here
-        return;
-      }
-    }
-    return;
-  }
-  conn->in_service = false;
+  if (open && !conn->stream->peer_gone()) return;
+  conns_.remove_if([conn](const Conn& c) { return &c == conn; });  // conn dangles from here
 }
 
 }  // namespace gae::dst

@@ -1,14 +1,14 @@
 // An event-driven RPC server for the simulated network: serves a
 // rpc::Dispatcher over SimNetwork connections with no acceptor thread and no
 // worker pool. Connections arrive by push (SimNetwork::listen_push) and each
-// delivery drives the shared per-request pipeline (rpc_dispatch_request et
-// al from rpc/server.h) synchronously — the whole server is a set of
-// callbacks on the simulation's single thread.
+// delivery runs rpc::RequestEngine::serve_one — the same loop RpcServer runs
+// on its workers — synchronously while bytes are buffered, so the whole
+// server is a set of callbacks on the simulation's single thread.
 //
-// Semantics match RpcServer where it matters to clients: same framing, same
-// fault encoding, same admission 503s, same keep-alive reuse. What it drops
-// is the concurrency model (fig-6 worker-pool queueing) — DST explores
-// message interleavings, not thread interleavings.
+// Same loop as RpcServer: same framing, 400s, fault encoding, admission
+// sheds, deadline charging and keep-alive reuse. What it drops is the
+// concurrency model (fig-6 worker-pool queueing) — DST explores message
+// interleavings, not thread interleavings.
 #pragma once
 
 #include <cstdint>
@@ -16,30 +16,18 @@
 #include <memory>
 #include <string>
 
-#include "common/admission.h"
 #include "common/status.h"
 #include "dst/simnet.h"
 #include "rpc/server.h"
 
 namespace gae::dst {
 
-struct SimHostOptions {
-  std::uint16_t port = 0;  // 0 = auto-assigned by the network
-  /// Receive timeout for partially delivered requests (virtual ms): a read
-  /// mid-request pumps the network at most this far before giving up.
-  int recv_timeout_ms = 5'000;
-  std::size_t max_header_bytes = 1u << 20;
-  std::size_t max_body_bytes = 64u << 20;
-  /// Per-request admission control (same contract as ServerOptions).
-  AdmissionController* admission = nullptr;
-};
-
 class SimHost {
  public:
-  /// `node` is the simulated host name peers dial. The dispatcher must
-  /// outlive the host.
+  /// `node` is the simulated host name peers dial; `port` 0 = auto-assigned
+  /// by the network. The dispatcher must outlive the host.
   SimHost(SimNetwork& net, std::string node, std::shared_ptr<rpc::Dispatcher> dispatcher,
-          SimHostOptions options = {});
+          std::uint16_t port, rpc::ConnectionOptions options = {});
   ~SimHost();
 
   SimHost(const SimHost&) = delete;
@@ -53,16 +41,13 @@ class SimHost {
   void stop();
 
   const std::string& node() const { return node_; }
-  std::uint16_t port() const { return options_.port; }
+  std::uint16_t port() const { return port_; }
   bool running() const { return running_; }
-
-  std::uint64_t requests_served() const { return requests_; }
-  std::uint64_t requests_shed() const { return shed_; }
 
  private:
   struct Conn {
     std::unique_ptr<SimStream> stream;
-    bool in_service = false;
+    rpc::ConnectionState state;
   };
 
   void on_connection(std::unique_ptr<SimStream> stream);
@@ -70,12 +55,10 @@ class SimHost {
 
   SimNetwork& net_;
   std::string node_;
-  std::shared_ptr<rpc::Dispatcher> dispatcher_;
-  SimHostOptions options_;
+  std::uint16_t port_;
+  rpc::RequestEngine engine_;
   bool running_ = false;
   std::list<Conn> conns_;
-  std::uint64_t requests_ = 0;
-  std::uint64_t shed_ = 0;
 };
 
 }  // namespace gae::dst

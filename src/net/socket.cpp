@@ -130,12 +130,12 @@ void TcpStream::close() {
 TcpListener::~TcpListener() { close(); }
 
 TcpListener::TcpListener(TcpListener&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), port_(std::exchange(other.port_, 0)) {}
+    : fd_(other.fd_.exchange(-1)), port_(std::exchange(other.port_, 0)) {}
 
 TcpListener& TcpListener::operator=(TcpListener&& other) noexcept {
   if (this != &other) {
     close();
-    fd_ = std::exchange(other.fd_, -1);
+    fd_.store(other.fd_.exchange(-1));
     port_ = std::exchange(other.port_, 0);
   }
   return *this;
@@ -179,7 +179,7 @@ Result<TcpListener> TcpListener::bind(std::uint16_t port) {
 
 Result<TcpStream> TcpListener::accept() {
   for (;;) {
-    const int fd = ::accept(fd_, nullptr, nullptr);
+    const int fd = ::accept(fd_.load(), nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       return errno_status("accept");
@@ -189,11 +189,11 @@ Result<TcpStream> TcpListener::accept() {
 }
 
 void TcpListener::close() {
-  if (fd_ >= 0) {
+  const int fd = fd_.exchange(-1);
+  if (fd >= 0) {
     // shutdown() unblocks accept() on Linux; close alone may not.
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
+    ::shutdown(fd, SHUT_RDWR);
+    ::close(fd);
   }
 }
 

@@ -2,6 +2,7 @@
 // benchmarks, so only the portable POSIX subset is wrapped.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -77,13 +78,15 @@ class TcpListener {
   /// The actually bound port (useful after binding port 0).
   std::uint16_t port() const { return port_; }
 
-  bool valid() const { return fd_ >= 0; }
+  bool valid() const { return fd_.load() >= 0; }
 
   /// Unblocks pending accept() calls; they return UNAVAILABLE.
   void close();
 
  private:
-  int fd_ = -1;
+  /// Atomic: a server's stop() closes the listener while its acceptor
+  /// thread sits in accept().
+  std::atomic<int> fd_{-1};
   std::uint16_t port_ = 0;
 };
 

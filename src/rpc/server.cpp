@@ -3,6 +3,7 @@
 #include <chrono>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "common/log.h"
 #include "rpc/deadline.h"
@@ -174,10 +175,23 @@ Result<Value> Dispatcher::dispatch(const std::string& method, const Array& param
 
 int status_to_fault_code(StatusCode code) { return 100 + static_cast<int>(code); }
 
+StatusCode fault_code_to_status(int fault_code) {
+  const int raw = fault_code - 100;
+  if (raw < 0 || raw > static_cast<int>(StatusCode::kNotPrimary)) return StatusCode::kInternal;
+  return static_cast<StatusCode>(raw);
+}
+
+// The transport-independent steps between "one framed HTTP request" and "one
+// framed HTTP response", private to RequestEngine.
+namespace {
+
+/// True when the request's content type selects the JSON-RPC codec.
 bool rpc_request_is_json(const http::Request& req) {
   return req.header("content-type", "text/xml").find("json") != std::string::npos;
 }
 
+/// Builds the per-call context from the request's transport fields.
+/// `queue_delay_us` is charged against the arriving deadline budget.
 CallContext rpc_context_from_request(const http::Request& req, std::int64_t picked_up_us,
                                      std::int64_t queue_delay_us) {
   CallContext ctx;
@@ -197,6 +211,8 @@ CallContext rpc_context_from_request(const http::Request& req, std::int64_t pick
   return ctx;
 }
 
+/// Decodes the body, dispatches through `dispatch` (invoked at most once, for
+/// a well-formed call) and encodes the reply, faults included.
 http::Response rpc_dispatch_request(
     const http::Request& req, CallContext ctx,
     const std::function<Result<Value>(const std::string& method, const Array& params,
@@ -234,6 +250,10 @@ http::Response rpc_dispatch_request(
   return resp;
 }
 
+/// The well-formed 503 fault an admission shed answers with, in the
+/// request's own protocol (clients map it to RESOURCE_EXHAUSTED and retry
+/// with backoff; a silent close would read as an outage and trigger
+/// reconnect storms).
 http::Response rpc_shed_response(bool is_json) {
   const int fault = status_to_fault_code(StatusCode::kResourceExhausted);
   const std::string msg = "server overloaded: request shed";
@@ -245,14 +265,117 @@ http::Response rpc_shed_response(bool is_json) {
   return resp;
 }
 
-StatusCode fault_code_to_status(int fault_code) {
-  const int raw = fault_code - 100;
-  if (raw < 0 || raw > static_cast<int>(StatusCode::kNotPrimary)) return StatusCode::kInternal;
-  return static_cast<StatusCode>(raw);
+}  // namespace
+
+RequestEngine::RequestEngine(std::shared_ptr<Dispatcher> dispatcher, ConnectionOptions options)
+    : dispatcher_(std::move(dispatcher)), options_(options) {
+  if (options_.metrics && options_.admission) {
+    shed_counter_ = &options_.metrics->counter("rpc.server.requests_shed");
+    queue_shed_counter_ = &options_.metrics->counter("rpc.server.queue_shed");
+    admission_limit_gauge_ = &options_.metrics->gauge("rpc.server.admission_limit");
+    brownout_gauge_ = &options_.metrics->gauge("rpc.server.brownout");
+  }
+}
+
+void RequestEngine::open(Stream& stream) const {
+  stream.set_no_delay(true);
+  if (options_.recv_timeout_ms > 0) stream.set_recv_timeout_ms(options_.recv_timeout_ms);
+}
+
+void RequestEngine::read_failed(Stream& stream, const Status& status) {
+  if (status.code() == StatusCode::kDeadlineExceeded) {
+    // Peer sat silent past the receive timeout; reclaim the connection.
+    timeouts_.fetch_add(1, std::memory_order_relaxed);
+    if (options_.metrics) options_.metrics->counter("rpc.server.connections_timed_out").inc();
+  } else if (status.code() == StatusCode::kInvalidArgument) {
+    // Malformed framing (bad request line, unparseable content-length,
+    // oversized header/body). Tell the peer why before closing — a
+    // best-effort 400; a write failure here changes nothing, the
+    // connection is closing either way.
+    GAE_LOG(Debug) << "rpc request framing error: " << status;
+    if (options_.metrics) options_.metrics->counter("rpc.server.bad_requests").inc();
+    http::Response bad;
+    bad.status_code = 400;
+    bad.reason = "Bad Request";
+    bad.headers["content-type"] = "text/plain";
+    bad.body = status.message() + "\n";
+    (void)http::write_response(stream, bad, /*keep_alive=*/false);
+  } else if (status.code() != StatusCode::kUnavailable) {
+    // Clean close of a kept-alive connection is routine; anything else
+    // is worth a log line.
+    GAE_LOG(Debug) << "rpc request framing error: " << status;
+  }
+}
+
+bool RequestEngine::serve_one(Stream& stream, ConnectionState& conn) {
+  auto reqr = http::read_request(stream, {options_.max_header_bytes, options_.max_body_bytes});
+  if (!reqr.is_ok()) {
+    read_failed(stream, reqr.status());
+    return false;
+  }
+  const http::Request req = std::move(reqr).value();
+  const bool keep_alive = req.keep_alive();
+  const bool is_json = rpc_request_is_json(req);
+
+  // The first request on a connection additionally pays for the time since
+  // the accept — the budget kept draining while the connection waited for a
+  // worker, and the client-side clock that stamped the deadline header
+  // cannot see that wait.
+  const std::int64_t picked_up_us = steady_now_us();
+  const bool first_request = std::exchange(conn.first_request, false);
+  const std::int64_t queue_delay_us = first_request && picked_up_us > conn.accepted_at_us
+                                          ? picked_up_us - conn.accepted_at_us
+                                          : 0;
+  const CallContext ctx = rpc_context_from_request(req, picked_up_us, queue_delay_us);
+
+  // Admission: a first request whose connection sat in the acceptor queue
+  // past the CoDel bound is shed and its connection closed (closing is what
+  // drains the queue); every other request must take a concurrency ticket,
+  // refused by criticality tier once the limiter is at capacity.
+  AdmissionController* admission = options_.admission;
+  const bool queue_shed = admission && first_request &&
+                          admission->queue_overloaded(static_cast<std::uint64_t>(queue_delay_us));
+  if (admission && (queue_shed || !admission->try_admit(ctx.tier))) {
+    if (queue_shed && queue_shed_counter_) queue_shed_counter_->inc();
+    shed_.fetch_add(1, std::memory_order_relaxed);
+    if (shed_counter_) shed_counter_->inc();
+    requests_.fetch_add(1, std::memory_order_relaxed);
+    const bool shed_keep_alive = keep_alive && !queue_shed;
+    return http::write_response(stream, rpc_shed_response(is_json), shed_keep_alive).is_ok() &&
+           shed_keep_alive;
+  }
+
+  // Ticket released by RAII so a decode fault (no dispatch) cannot leak
+  // admission capacity.
+  struct Ticket {
+    AdmissionController* ctrl;
+    ~Ticket() {
+      if (ctrl) ctrl->release();
+    }
+  } ticket{admission};
+
+  // Dispatch timed at the admission layer: the sample feeds the AIMD limit,
+  // and the gauges publish the limit it settled on.
+  const http::Response resp = rpc_dispatch_request(
+      req, ctx, [&](const std::string& method, const Array& params, const CallContext& call_ctx) {
+        const std::int64_t start_us = steady_now_us();
+        auto result = dispatcher_->dispatch(method, params, call_ctx);
+        if (admission) {
+          admission->on_sample(static_cast<std::uint64_t>(steady_now_us() - start_us));
+          if (admission_limit_gauge_) {
+            admission_limit_gauge_->set(static_cast<std::int64_t>(admission->limit()));
+            brownout_gauge_->set(admission->browned_out() ? 1 : 0);
+          }
+        }
+        return result;
+      });
+
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  return http::write_response(stream, resp, keep_alive).is_ok() && keep_alive;
 }
 
 RpcServer::RpcServer(std::shared_ptr<Dispatcher> dispatcher, ServerOptions options)
-    : dispatcher_(std::move(dispatcher)), options_(options) {}
+    : options_(options), engine_(std::move(dispatcher), options.connection) {}
 
 RpcServer::~RpcServer() { stop(); }
 
@@ -263,12 +386,6 @@ Result<std::uint16_t> RpcServer::start() {
   listener_ = std::move(listener).value();
   port_ = listener_->port();
   pool_ = std::make_unique<ThreadPool>(options_.num_workers);
-  if (options_.metrics && options_.admission) {
-    shed_counter_ = &options_.metrics->counter("rpc.server.requests_shed");
-    queue_shed_counter_ = &options_.metrics->counter("rpc.server.queue_shed");
-    admission_limit_gauge_ = &options_.metrics->gauge("rpc.server.admission_limit");
-    brownout_gauge_ = &options_.metrics->gauge("rpc.server.brownout");
-  }
   running_.store(true);
   acceptor_ = std::thread([this] { accept_loop(); });
   return port_;
@@ -302,6 +419,7 @@ void RpcServer::unregister_connection(Stream* stream) {
 void RpcServer::accept_loop() {
   const std::size_t max_in_flight =
       options_.max_in_flight > 0 ? options_.max_in_flight : 2 * options_.num_workers;
+  telemetry::MetricsRegistry* metrics = options_.connection.metrics;
   while (running_.load()) {
     auto stream = listener_->accept();
     if (!stream.is_ok()) {
@@ -315,9 +433,7 @@ void RpcServer::accept_loop() {
     // it at the door instead.
     if (in_flight_.load(std::memory_order_relaxed) >= max_in_flight) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
-      if (options_.metrics) {
-        options_.metrics->counter("rpc.server.connections_rejected").inc();
-      }
+      if (metrics) metrics->counter("rpc.server.connections_rejected").inc();
       continue;  // stream destructor closes the socket
     }
     in_flight_.fetch_add(1, std::memory_order_relaxed);
@@ -326,33 +442,31 @@ void RpcServer::accept_loop() {
     // bound and the first request's deadline budget.
     const std::int64_t accepted_at_us = steady_now_us();
     std::shared_ptr<Stream> conn = std::move(stream).value();
-    const bool ok = pool_->submit([this, conn, accepted_at_us]() mutable {
+    const bool ok = pool_->submit([this, metrics, conn, accepted_at_us]() mutable {
       serve_connection(*conn, accepted_at_us);
       const auto remaining = in_flight_.fetch_sub(1, std::memory_order_relaxed) - 1;
-      if (options_.metrics) {
-        options_.metrics->gauge("rpc.server.connections")
-            .set(static_cast<std::int64_t>(remaining));
+      if (metrics) {
+        metrics->gauge("rpc.server.connections").set(static_cast<std::int64_t>(remaining));
       }
     });
     if (!ok) {
       in_flight_.fetch_sub(1, std::memory_order_relaxed);
       return;
     }
-    if (options_.metrics) {
+    if (metrics) {
       // Queue depth right after admission is the moment it peaks: every
       // admitted connection beyond the worker count is sitting in the pool
       // queue (the fig-6 knee the paper measures).
-      options_.metrics->gauge("rpc.server.queue_depth")
+      metrics->gauge("rpc.server.queue_depth")
           .set(static_cast<std::int64_t>(pool_->queued()));
-      options_.metrics->gauge("rpc.server.connections")
+      metrics->gauge("rpc.server.connections")
           .set(static_cast<std::int64_t>(in_flight_.load(std::memory_order_relaxed)));
     }
   }
 }
 
 void RpcServer::serve_connection(Stream& stream, std::int64_t accepted_at_us) {
-  stream.set_no_delay(true);
-  if (options_.recv_timeout_ms > 0) stream.set_recv_timeout_ms(options_.recv_timeout_ms);
+  engine_.open(stream);
   register_connection(&stream);
   // Unregister before the caller releases the stream, so stop() never calls
   // shutdown_both() on a destroyed object.
@@ -362,116 +476,8 @@ void RpcServer::serve_connection(Stream& stream, std::int64_t accepted_at_us) {
     ~Deregister() { server->unregister_connection(stream); }
   } deregister{this, &stream};
 
-  const http::ReadLimits limits{options_.max_header_bytes, options_.max_body_bytes};
-  bool first_request = true;
-  while (running_.load()) {
-    auto reqr = http::read_request(stream, limits);
-    if (!reqr.is_ok()) {
-      if (reqr.status().code() == StatusCode::kDeadlineExceeded) {
-        // Peer sat silent past the receive timeout; reclaim the worker.
-        timeouts_.fetch_add(1, std::memory_order_relaxed);
-        if (options_.metrics) {
-          options_.metrics->counter("rpc.server.connections_timed_out").inc();
-        }
-      } else if (reqr.status().code() == StatusCode::kInvalidArgument) {
-        // Malformed framing (bad request line, unparseable content-length,
-        // oversized header/body). Tell the peer why before closing — a
-        // best-effort 400; a write failure here changes nothing, the
-        // connection is closing either way.
-        GAE_LOG(Debug) << "rpc request framing error: " << reqr.status();
-        if (options_.metrics) {
-          options_.metrics->counter("rpc.server.bad_requests").inc();
-        }
-        http::Response bad;
-        bad.status_code = 400;
-        bad.reason = "Bad Request";
-        bad.headers["content-type"] = "text/plain";
-        bad.body = reqr.status().message() + "\n";
-        (void)http::write_response(stream, bad, /*keep_alive=*/false);
-      } else if (reqr.status().code() != StatusCode::kUnavailable) {
-        // Clean close of a kept-alive connection is routine; anything else
-        // is worth a log line.
-        GAE_LOG(Debug) << "rpc request framing error: " << reqr.status();
-      }
-      return;
-    }
-    http::Request req = std::move(reqr).value();
-    const bool keep_alive = req.keep_alive();
-    const bool is_json = rpc_request_is_json(req);
-
-    // The first request on a connection additionally pays for the time its
-    // bytes sat in the acceptor queue — the budget kept draining while the
-    // connection waited for a worker, and the client-side clock that stamped
-    // the deadline header cannot see that wait.
-    const std::int64_t picked_up_us = steady_now_us();
-    const std::int64_t queue_delay_us =
-        first_request && picked_up_us > accepted_at_us ? picked_up_us - accepted_at_us : 0;
-    CallContext ctx = rpc_context_from_request(req, picked_up_us, queue_delay_us);
-
-    // Admission: a first request whose connection sat in the acceptor queue
-    // past the CoDel bound is shed and its connection closed (closing is
-    // what drains the queue); every other request must take a concurrency
-    // ticket, refused by criticality tier once the limiter is at capacity.
-    bool shed = false;
-    bool close_after_shed = false;
-    bool holds_ticket = false;
-    if (options_.admission) {
-      if (first_request && options_.admission->queue_overloaded(
-                               static_cast<std::uint64_t>(queue_delay_us))) {
-        shed = true;
-        close_after_shed = true;
-        if (queue_shed_counter_) queue_shed_counter_->inc();
-      } else if (!options_.admission->try_admit(ctx.tier)) {
-        shed = true;
-      } else {
-        holds_ticket = true;
-      }
-    }
-    first_request = false;
-
-    if (shed) {
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      if (shed_counter_) shed_counter_->inc();
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      const bool shed_keep_alive = keep_alive && !close_after_shed;
-      if (!http::write_response(stream, rpc_shed_response(is_json), shed_keep_alive).is_ok()) {
-        return;
-      }
-      if (!shed_keep_alive) return;
-      continue;
-    }
-
-    // Ticket released by RAII so a decode fault (no dispatch) cannot leak
-    // admission capacity.
-    struct Ticket {
-      AdmissionController* ctrl;
-      ~Ticket() {
-        if (ctrl) ctrl->release();
-      }
-    } ticket{holds_ticket ? options_.admission : nullptr};
-
-    // Dispatch timed at the admission layer: the sample feeds the AIMD
-    // limit, and the gauges publish the limit it settled on.
-    const http::Response resp = rpc_dispatch_request(
-        req, ctx,
-        [&](const std::string& method, const Array& params, const CallContext& call_ctx) {
-          const std::int64_t start_us = steady_now_us();
-          auto result = dispatcher_->dispatch(method, params, call_ctx);
-          if (options_.admission) {
-            options_.admission->on_sample(
-                static_cast<std::uint64_t>(steady_now_us() - start_us), !result.is_ok());
-            if (admission_limit_gauge_) {
-              admission_limit_gauge_->set(
-                  static_cast<std::int64_t>(options_.admission->limit()));
-              brownout_gauge_->set(options_.admission->browned_out() ? 1 : 0);
-            }
-          }
-          return result;
-        });
-
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    if (!http::write_response(stream, resp, keep_alive).is_ok()) return;
-    if (!keep_alive) return;
+  ConnectionState conn{accepted_at_us};
+  while (running_.load() && engine_.serve_one(stream, conn)) {
   }
 }
 

@@ -5,7 +5,8 @@
 // connection occupies a worker for its keep-alive duration. This mirrors the
 // JClarens servlet-container deployment the paper benchmarked in fig. 6 —
 // response time stays flat until concurrent clients exceed the worker count,
-// then grows as connections queue.
+// then grows as connections queue. The per-request loop body itself
+// (RequestEngine) is the same one dst::SimHost drives under simulation.
 #pragma once
 
 #include <atomic>
@@ -119,68 +120,95 @@ class Dispatcher {
 int status_to_fault_code(StatusCode code);
 StatusCode fault_code_to_status(int fault_code);
 
-// -- The shared per-request pipeline ----------------------------------------
-//
-// Everything between "one framed HTTP request" and "one framed HTTP
-// response" is transport-independent; the TCP worker loop below and the
-// deterministic-simulation host (dst::SimHost) both drive these.
-
-/// True when the request's content type selects the JSON-RPC codec.
-bool rpc_request_is_json(const http::Request& req);
-
-/// Builds the per-call context from the request's transport fields.
-/// `picked_up_us` is the steady instant the request started being served;
-/// `queue_delay_us` (acceptor-queue wait, first request only) is charged
-/// against the arriving deadline budget — the client's clock could not see
-/// that wait.
-CallContext rpc_context_from_request(const http::Request& req, std::int64_t picked_up_us,
-                                     std::int64_t queue_delay_us);
-
-/// Decodes the body (codec by content type), dispatches through `dispatch`
-/// (invoked at most once, for a well-formed call), and encodes the reply —
-/// faults included — into a complete Response. The body's reserved trace
-/// field is applied to `ctx` as a fallback when the header carried none.
-http::Response rpc_dispatch_request(
-    const http::Request& req, CallContext ctx,
-    const std::function<Result<Value>(const std::string& method, const Array& params,
-                                      const CallContext& ctx)>& dispatch);
-
-/// The well-formed 503 fault an admission shed answers with, in the
-/// request's own protocol (clients map it to RESOURCE_EXHAUSTED and retry
-/// with backoff; a silent close would read as an outage and trigger
-/// reconnect storms).
-http::Response rpc_shed_response(bool is_json);
-
-struct ServerOptions {
-  std::uint16_t port = 0;  // 0 = ephemeral
-  std::size_t num_workers = 8;
+/// Settings every served connection runs under, whichever host accepted it
+/// (RpcServer over a Transport, dst::SimHost over the simulated network).
+struct ConnectionOptions {
   /// Per-connection receive timeout: a connection that stays silent this
   /// long (slowloris, wedged peer) is closed and its worker freed. 0
   /// disables — workers then block on silent peers forever.
   int recv_timeout_ms = 30'000;
-  /// Request framing caps (oversized peers get INVALID_ARGUMENT + close).
+  /// Request framing caps (oversized peers get a 400 + close).
   std::size_t max_header_bytes = 1u << 20;
   std::size_t max_body_bytes = 64u << 20;
-  /// Connections admitted concurrently (accepted but not yet finished);
-  /// excess connections are closed at accept. 0 = 2 * num_workers.
-  std::size_t max_in_flight = 0;
-  /// Byte transport to listen on; null = the process-wide TCP transport.
-  /// Must outlive the server.
-  Transport* transport = nullptr;
-  /// When set, the server keeps rpc.server.queue_depth (worker-pool backlog)
-  /// and rpc.server.connections gauges current, and counts
-  /// rpc.server.connections_{rejected,timed_out}. Per-method metrics live on
-  /// the Dispatcher (set_telemetry). Must outlive the server.
+  /// When set, the engine counts rpc.server.{bad_requests,
+  /// connections_timed_out} and, with admission, rpc.server.{requests_shed,
+  /// queue_shed} and the rpc.server.{admission_limit,brownout} gauges;
+  /// RpcServer adds its acceptor gauges. Per-method metrics live on the
+  /// Dispatcher (set_telemetry). Must outlive the host.
   telemetry::MetricsRegistry* metrics = nullptr;
   /// Adaptive per-request admission control. When set, every request must
   /// take a ticket from the controller before its body is decoded; refused
   /// requests get a well-formed 503 fault in the request's own protocol
   /// (clients classify it RESOURCE_EXHAUSTED and retry with backoff) instead
-  /// of a silently dropped connection. The CoDel queue bound also engages:
-  /// connections that sat too long in the acceptor queue are answered with a
-  /// 503 and closed. The static max_in_flight connection cap still applies
-  /// as the outer backstop. Must outlive the server.
+  /// of a silently dropped connection. The CoDel queue bound also engages: a
+  /// connection whose first request was picked up too long after the accept
+  /// is answered with a 503 and closed. Must outlive the host.
   AdmissionController* admission = nullptr;
+};
+
+/// What the engine remembers about one connection between its requests.
+struct ConnectionState {
+  /// Steady instant (rpc/deadline.h) the connection was accepted. The first
+  /// request pays the wait since then against its deadline budget and the
+  /// CoDel queue bound.
+  std::int64_t accepted_at_us = 0;
+  bool first_request = true;
+};
+
+/// The one server-side request loop body: read one request, admit it,
+/// dispatch it and write the answer. RpcServer runs it in a loop on a worker
+/// thread; dst::SimHost runs it from the simulated network's delivery
+/// callback while bytes are buffered. Thread-safe across connections.
+class RequestEngine {
+ public:
+  RequestEngine(std::shared_ptr<Dispatcher> dispatcher, ConnectionOptions options);
+
+  /// Applies the receive timeout and no-delay to a freshly accepted stream.
+  void open(Stream& stream) const;
+
+  /// Serves one request. False once the connection is done — EOF, receive
+  /// timeout, framing error (answered with a 400), CoDel shed, write failure
+  /// or Connection: close — and the caller should close it.
+  bool serve_one(Stream& stream, ConnectionState& conn);
+
+  /// Requests answered, admission sheds included.
+  std::uint64_t requests_served() const { return requests_.load(); }
+  /// Requests refused by the admission controller (ticket and CoDel sheds).
+  std::uint64_t requests_shed() const { return shed_.load(); }
+  /// Connections closed because the peer went silent past recv_timeout_ms.
+  std::uint64_t connections_timed_out() const { return timeouts_.load(); }
+
+ private:
+  void read_failed(Stream& stream, const Status& status);
+
+  std::shared_ptr<Dispatcher> dispatcher_;
+  ConnectionOptions options_;
+  std::atomic<std::uint64_t> requests_{0};
+  std::atomic<std::uint64_t> shed_{0};
+  std::atomic<std::uint64_t> timeouts_{0};
+  /// Pre-resolved admission telemetry (armed when both metrics and admission
+  /// are configured) so the shed path never builds names.
+  telemetry::Counter* shed_counter_ = nullptr;
+  telemetry::Counter* queue_shed_counter_ = nullptr;
+  telemetry::Gauge* admission_limit_gauge_ = nullptr;
+  telemetry::Gauge* brownout_gauge_ = nullptr;
+};
+
+struct ServerOptions {
+  std::uint16_t port = 0;  // 0 = ephemeral
+  std::size_t num_workers = 8;
+  /// Connections admitted concurrently (accepted but not yet finished);
+  /// excess connections are closed at accept. 0 = 2 * num_workers. The outer
+  /// backstop behind connection.admission.
+  std::size_t max_in_flight = 0;
+  /// Byte transport to listen on; null = the process-wide TCP transport.
+  /// Must outlive the server.
+  Transport* transport = nullptr;
+  /// Per-connection settings. With connection.metrics set the server also
+  /// keeps rpc.server.queue_depth (worker-pool backlog) and
+  /// rpc.server.connections gauges current and counts
+  /// rpc.server.connections_rejected.
+  ConnectionOptions connection{};
 };
 
 class RpcServer {
@@ -200,17 +228,17 @@ class RpcServer {
   std::uint16_t port() const { return port_; }
 
   /// Total requests served (all connections).
-  std::uint64_t requests_served() const { return requests_.load(); }
+  std::uint64_t requests_served() const { return engine_.requests_served(); }
 
   /// Connections dropped at accept because max_in_flight was reached.
   std::uint64_t connections_rejected() const { return rejected_.load(); }
 
   /// Connections closed because the peer went silent past recv_timeout_ms.
-  std::uint64_t connections_timed_out() const { return timeouts_.load(); }
+  std::uint64_t connections_timed_out() const { return engine_.connections_timed_out(); }
 
   /// Requests refused by the admission controller (per-request 503 sheds,
-  /// including CoDel queue sheds). 0 unless ServerOptions::admission is set.
-  std::uint64_t requests_shed() const { return shed_.load(); }
+  /// including CoDel queue sheds). 0 unless connection.admission is set.
+  std::uint64_t requests_shed() const { return engine_.requests_shed(); }
 
  private:
   void accept_loop();
@@ -221,24 +249,15 @@ class RpcServer {
   void register_connection(Stream* stream);
   void unregister_connection(Stream* stream);
 
-  std::shared_ptr<Dispatcher> dispatcher_;
   ServerOptions options_;
+  RequestEngine engine_;
   std::unique_ptr<Listener> listener_;
   std::unique_ptr<ThreadPool> pool_;
   std::thread acceptor_;
   std::atomic<bool> running_{false};
-  std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> timeouts_{0};
-  std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::size_t> in_flight_{0};
   std::uint16_t port_ = 0;
-  /// Pre-resolved admission telemetry (start() arms these when both metrics
-  /// and admission are configured) so the shed path never builds names.
-  telemetry::Counter* shed_counter_ = nullptr;
-  telemetry::Counter* queue_shed_counter_ = nullptr;
-  telemetry::Gauge* admission_limit_gauge_ = nullptr;
-  telemetry::Gauge* brownout_gauge_ = nullptr;
   std::mutex conns_mutex_;
   std::set<Stream*> active_conns_;
 };

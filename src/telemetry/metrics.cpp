@@ -28,7 +28,6 @@ std::uint64_t Histogram::bucket_upper_bound(int i) {
 
 void Histogram::record(std::uint64_t value) {
   buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
   std::uint64_t seen = min_.load(std::memory_order_relaxed);
   while (value < seen &&
@@ -42,21 +41,22 @@ void Histogram::record(std::uint64_t value) {
 
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot snap;
-  snap.count = count_.load(std::memory_order_relaxed);
   snap.sum = sum_.load(std::memory_order_relaxed);
   const std::uint64_t min = min_.load(std::memory_order_relaxed);
   snap.min = min == UINT64_MAX ? 0 : min;
   snap.max = max_.load(std::memory_order_relaxed);
+  // The count is the sum of the buckets just loaded, so the two always agree
+  // even while writers record.
   for (int i = 0; i < kBuckets; ++i) {
     snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
+    snap.count += snap.buckets[i];
   }
   return snap;
 }
 
 double HistogramSnapshot::percentile(double p) const {
-  // Percentiles come from bucket counts, not the count_ atomic: under
-  // concurrent recording the two can disagree transiently, and the bucket
-  // view is the one being ranked over.
+  // Percentiles rank over the bucket counts themselves, so a hand-built
+  // snapshot whose `count` disagrees with its buckets still ranks sanely.
   std::uint64_t total = 0;
   for (const auto b : buckets) total += b;
   if (total == 0) return 0.0;

@@ -81,7 +81,6 @@ class Histogram {
 
  private:
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> min_{UINT64_MAX};
   std::atomic<std::uint64_t> max_{0};

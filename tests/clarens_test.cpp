@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "clarens/host.h"
 #include "common/clock.h"
 #include "rpc/client.h"
@@ -58,6 +63,51 @@ TEST(AuthService, LogoutInvalidates) {
   ASSERT_TRUE(auth.logout(token).is_ok());
   EXPECT_FALSE(auth.authenticate(token).is_ok());
   EXPECT_EQ(auth.logout(token).code(), StatusCode::kNotFound);
+  EXPECT_EQ(auth.active_sessions(), 0u);
+}
+
+// A host's RPC workers reach one AuthService from many threads at once
+// (login, the auth interceptor's authenticate, logout, session counts).
+TEST(AuthService, ConcurrentLoginAuthenticateLogout) {
+  ManualClock clock;
+  AuthOptions opts;
+  opts.session_ttl_seconds = 100;
+  AuthService auth(clock, opts);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 500;
+  // Sessions that lapse before the workers start, so authenticate() and
+  // active_sessions() erase expired entries while logins insert.
+  std::vector<std::string> lapsed;
+  for (int t = 0; t < kThreads; ++t) {
+    const std::string user = "user" + std::to_string(t);
+    ASSERT_TRUE(auth.register_user(user, "pw").is_ok());
+    lapsed.push_back(auth.login(user, "pw").value());
+  }
+  clock.advance_by(from_seconds(200));
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::string user = "user" + std::to_string(t);
+      if (auth.authenticate(lapsed[t]).status().code() != StatusCode::kUnauthenticated) {
+        ++failures;
+      }
+      for (int i = 0; i < kRounds; ++i) {
+        auto token = auth.login(user, "pw");
+        if (!token.is_ok()) {
+          ++failures;
+          continue;
+        }
+        auto who = auth.authenticate(token.value());
+        if (!who.is_ok() || who.value() != user) ++failures;
+        (void)auth.active_sessions();
+        if (!auth.logout(token.value()).is_ok()) ++failures;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(auth.active_sessions(), 0u);
 }
 

@@ -177,7 +177,7 @@ TEST(ServerHardening, SilentClientCannotWedgeTheOnlyWorker) {
   ServerOptions options;
   options.port = 0;
   options.num_workers = 1;  // one wedged worker would wedge the server
-  options.recv_timeout_ms = 300;
+  options.connection.recv_timeout_ms = 300;
   RpcServer server(echo_dispatcher(), options);
   auto port = server.start();
   ASSERT_TRUE(port.is_ok());
@@ -201,7 +201,7 @@ TEST(ServerHardening, ExcessConnectionsShedAtAccept) {
   options.port = 0;
   options.num_workers = 1;
   options.max_in_flight = 1;
-  options.recv_timeout_ms = 10'000;  // the parked connection stays parked
+  options.connection.recv_timeout_ms = 10'000;  // the parked connection stays parked
   RpcServer server(echo_dispatcher(), options);
   auto port = server.start();
   ASSERT_TRUE(port.is_ok());
@@ -227,7 +227,7 @@ TEST(ServerHardening, ConfiguredBodyCapRejectsOversizedRequests) {
   ServerOptions options;
   options.port = 0;
   options.num_workers = 2;
-  options.max_body_bytes = 1024;
+  options.connection.max_body_bytes = 1024;
   RpcServer server(echo_dispatcher(), options);
   auto port = server.start();
   ASSERT_TRUE(port.is_ok());

@@ -57,13 +57,13 @@ TEST(AdmissionAimd, RaisesWhenFastClampsWhenSlow) {
   ASSERT_EQ(c.limit(), 10u);
 
   // Four fast samples anchor the floor at 1ms and earn an additive raise.
-  for (int i = 0; i < 4; ++i) c.on_sample(1000, false);
+  for (int i = 0; i < 4; ++i) c.on_sample(1000);
   EXPECT_EQ(c.limit(), 11u);
   EXPECT_EQ(c.snapshot().raises, 1u);
 
   // Latency drifts to 5x the floor: multiplicative clamp (11 * 0.8 -> 8)
   // and the brownout hold engages.
-  for (int i = 0; i < 4; ++i) c.on_sample(5000, false);
+  for (int i = 0; i < 4; ++i) c.on_sample(5000);
   EXPECT_EQ(c.limit(), 8u);
   EXPECT_EQ(c.snapshot().clamps, 1u);
   EXPECT_TRUE(c.browned_out());
@@ -74,7 +74,7 @@ TEST(AdmissionAimd, RaisesWhenFastClampsWhenSlow) {
 
   // Sustained congestion clamps again and again but never below min_limit.
   for (int round = 0; round < 8; ++round) {
-    for (int i = 0; i < 4; ++i) c.on_sample(5000, false);
+    for (int i = 0; i < 4; ++i) c.on_sample(5000);
   }
   EXPECT_EQ(c.limit(), o.min_limit);
 }
@@ -327,7 +327,7 @@ class ShedTest : public ::testing::Test {
     rpc::ServerOptions sopts;
     sopts.port = 0;
     sopts.num_workers = 3;
-    sopts.admission = admission_.get();
+    sopts.connection.admission = admission_.get();
     server_ = std::make_unique<rpc::RpcServer>(dispatcher, sopts);
     auto port = server_->start();
     ASSERT_TRUE(port.is_ok());
@@ -455,7 +455,7 @@ TEST(OverloadStorm, CriticalTierOutlivesBulkUnderStorm) {
   rpc::ServerOptions sopts;
   sopts.port = 0;
   sopts.num_workers = 4;
-  sopts.admission = &admission;
+  sopts.connection.admission = &admission;
   rpc::RpcServer server(dispatcher, sopts);
   auto port = server.start();
   ASSERT_TRUE(port.is_ok());

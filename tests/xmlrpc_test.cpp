@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace gae::rpc::xmlrpc {
 namespace {
 
@@ -152,22 +154,47 @@ TEST(XmlEscape, AllEntities) {
   EXPECT_EQ(xml_escape("plain"), "plain");
 }
 
-/// Round-trip property across assorted value shapes.
+void ExpectRoundTrip(const Value& v) {
+  auto resp = decode_response(encode_response(v));
+  ASSERT_TRUE(resp.is_ok());
+  EXPECT_EQ(resp.value().result, v);
+}
+
+/// Round-trip property across assorted value shapes. gtest names each case
+/// after the raw bytes of its parameter, so only shapes whose bytes are the
+/// same on every run belong here.
 class XmlRpcRoundTripTest : public ::testing::TestWithParam<Value> {};
 
-TEST_P(XmlRpcRoundTripTest, ValueSurvives) {
-  auto resp = decode_response(encode_response(GetParam()));
-  ASSERT_TRUE(resp.is_ok());
-  EXPECT_EQ(resp.value().result, GetParam());
-}
+TEST_P(XmlRpcRoundTripTest, ValueSurvives) { ExpectRoundTrip(GetParam()); }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, XmlRpcRoundTripTest,
-    ::testing::Values(Value(), Value(false), Value(std::int64_t{-9'000'000'000}),
-                      Value(0.0), Value(1e-12), Value(""), Value("  padded  "),
-                      Value(Array{}), Value(Struct{}),
-                      Value(Array{Value(Array{Value(Array{Value(1)})})}),
-                      Value(Struct{{"k", Value(Struct{{"k2", Value("v")}})}})));
+    ::testing::Values(Value(std::int64_t{-9'000'000'000}), Value(0.0), Value(1e-12),
+                      Value(Array{})));
+
+/// Shapes whose bytes hold heap pointers or unset variant padding carry a
+/// fixed label, so their test names do not change from run to run.
+struct LabelledValue {
+  const char* label;
+  Value value;
+};
+
+void PrintTo(const LabelledValue& v, std::ostream* os) { *os << v.label; }
+
+class XmlRpcLabelledRoundTripTest : public ::testing::TestWithParam<LabelledValue> {};
+
+TEST_P(XmlRpcLabelledRoundTripTest, ValueSurvives) { ExpectRoundTrip(GetParam().value); }
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, XmlRpcLabelledRoundTripTest,
+    ::testing::Values(
+        LabelledValue{"nil", Value()}, LabelledValue{"false", Value(false)},
+        LabelledValue{"empty_string", Value("")},
+        LabelledValue{"padded_string", Value("  padded  ")},
+        LabelledValue{"empty_struct", Value(Struct{})},
+        LabelledValue{"nested_array", Value(Array{Value(Array{Value(Array{Value(1)})})})},
+        LabelledValue{"nested_struct",
+                      Value(Struct{{"k", Value(Struct{{"k2", Value("v")}})}})}));
 
 }  // namespace
 }  // namespace gae::rpc::xmlrpc
