@@ -8,8 +8,10 @@
 namespace gae::kv {
 
 namespace {
+// The delimiters plus every byte std::isspace matches in the C locale
+// (' ' and '\t'..'\r'): decode() splits tokens on all of them, not just ' '.
 bool needs_escape(char c) {
-  return c == ' ' || c == '=' || c == '%' || c == '\n' || c == '\r';
+  return c == '=' || c == '%' || c == ' ' || (c >= '\t' && c <= '\r');
 }
 }  // namespace
 

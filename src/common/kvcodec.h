@@ -1,7 +1,7 @@
 // Flat key=value line codec shared by the WAL adopters (jobmon records,
-// estimator samples): space-separated `key=value` tokens with the
-// delimiter characters percent-escaped, so arbitrary strings round-trip
-// through one human-greppable line.
+// estimator samples, steering's recovery journal): space-separated
+// `key=value` tokens with the delimiter characters percent-escaped, so
+// arbitrary strings round-trip through one human-greppable line.
 #pragma once
 
 #include <map>
@@ -11,7 +11,8 @@
 
 namespace gae::kv {
 
-/// Percent-escapes ' ', '=', '%', '\n', '\r'.
+/// Percent-escapes '=', '%' and every whitespace byte (' ', '\t', '\n',
+/// '\v', '\f', '\r').
 std::string escape(const std::string& in);
 
 /// Reverses escape(); INVALID_ARGUMENT on malformed %XX sequences.

@@ -2,13 +2,15 @@
 // Backup & Recovery component (paper §4) generalised for any service state.
 //
 // A Wal frames opaque payloads as length + CRC32 records over a pluggable
-// byte store (memory for tests/simulation, a file for a real deployment —
-// the same split as steering's JournalSink). Reads are torn-tail tolerant:
-// an incomplete final frame (the normal crash artifact) is dropped silently,
-// while a CRC mismatch mid-log stops replay at the corruption point and
-// keeps the valid prefix. write_snapshot() atomically replaces the log with
-// one snapshot record — periodic snapshot + log truncation in one step —
-// and replay folds from the last snapshot forward.
+// byte store: memory for tests/simulation, a file for a real deployment,
+// ha::ReplicatedWalStorage to ship every frame to a hot standby. It is the
+// one durability path of jobmon, the estimator stores and steering's
+// recovery journal. Reads are torn-tail tolerant: an incomplete final frame
+// (the normal crash artifact) is dropped silently, while a CRC mismatch
+// mid-log stops replay at the corruption point and keeps the valid prefix.
+// write_snapshot() atomically replaces the log with one snapshot record —
+// periodic snapshot + log truncation in one step — and replay folds from
+// the last snapshot forward.
 #pragma once
 
 #include <atomic>

@@ -458,42 +458,4 @@ Status ReplicatedWalStorage::replace(const std::string& bytes) {
   return shipper_->ship_replace(bytes);
 }
 
-// --- ReplicatedJournalSink -------------------------------------------------
-
-ReplicatedJournalSink::ReplicatedJournalSink(steering::JournalSink* inner,
-                                             LogShipper* shipper)
-    : inner_(inner), shipper_(shipper) {
-  shipper_->set_resync_source([this]() -> Result<std::string> {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return framed_;
-  });
-}
-
-Status ReplicatedJournalSink::append(const std::string& line) {
-  const Status local = inner_->append(line);
-  if (!local.is_ok()) return local;
-  const std::string frame = Wal::encode_frame(WalRecord::Type::kRecord, line);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    framed_ += frame;
-  }
-  return shipper_->ship_append(frame);
-}
-
-Result<std::vector<std::string>> journal_lines_from_log(const std::string& log_bytes) {
-  const WalReadResult decoded = Wal::decode(log_bytes);
-  if (decoded.corrupt) {
-    return internal_error("corrupt replicated journal log");
-  }
-  std::vector<std::string> lines;
-  lines.reserve(decoded.records.size());
-  for (const WalRecord& rec : decoded.records) {
-    if (rec.type != WalRecord::Type::kRecord) {
-      return internal_error("unexpected snapshot frame in replicated journal log");
-    }
-    lines.push_back(rec.payload);
-  }
-  return lines;
-}
-
 }  // namespace gae::ha

@@ -4,10 +4,11 @@
 // A primary streams the exact bytes its common::Wal writes — one framed
 // record per storage append — to one or more standbys, which apply them to
 // their own WalStorage. Because the unit of shipment is the Wal frame, any
-// service whose durability already goes through a Wal (jobmon's DBManager,
-// the estimator stores, steering's recovery journal) adopts replication by
+// service whose durability already goes through a Wal adopts replication by
 // wrapping its storage in ReplicatedWalStorage; the service itself does not
-// change.
+// change. The adopters are all plain Wals: jobmon's DBManager, the estimator
+// stores, and steering's recovery journal (a WalJournalSink over the Wal,
+// decoded on a promoted standby by steering::journal_lines_from_wal).
 //
 // Consistency model: every batch is stamped with the primary's *epoch*, the
 // fencing token granted by ServiceRegistry::acquire_primary. A standby
@@ -34,7 +35,6 @@
 
 #include "common/status.h"
 #include "common/wal.h"
-#include "steering/journal.h"
 #include "telemetry/metrics.h"
 
 namespace gae::ha {
@@ -305,28 +305,5 @@ class ReplicatedWalStorage final : public WalStorage {
   WalStorage* inner_;
   LogShipper* shipper_;
 };
-
-/// JournalSink adapter for the steering recovery journal: each line lands
-/// in the inner sink (the service's own durability) and ships to standbys
-/// as one Wal frame whose payload is the line. A promoted standby decodes
-/// its log back into lines and replays them through restore_from_journal.
-class ReplicatedJournalSink final : public steering::JournalSink {
- public:
-  ReplicatedJournalSink(steering::JournalSink* inner, LogShipper* shipper);
-
-  Status append(const std::string& line) override;
-
- private:
-  steering::JournalSink* inner_;
-  LogShipper* shipper_;
-  /// Framed copy of every line shipped, kept as the shipper's resync
-  /// source (JournalSink has no read-back).
-  std::string framed_;
-  std::mutex mutex_;
-};
-
-/// Decodes a standby journal log (frames written by ReplicatedJournalSink)
-/// back into the journal lines the steering service replays.
-Result<std::vector<std::string>> journal_lines_from_log(const std::string& log_bytes);
 
 }  // namespace gae::ha

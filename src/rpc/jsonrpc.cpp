@@ -286,14 +286,12 @@ Result<Value> decode(const std::string& text) { return JsonParser(text).parse();
 
 namespace gae::rpc::jsonrpc {
 
-std::string encode_call(const std::string& method, const Array& params, std::int64_t id,
-                        const std::string& trace) {
+std::string encode_call(const std::string& method, const Array& params, std::int64_t id) {
   Struct msg;
   msg["jsonrpc"] = Value("2.0");
   msg["method"] = Value(method);
   msg["params"] = Value(params);
   msg["id"] = Value(id);
-  if (!trace.empty()) msg["trace"] = Value(trace);
   return json::encode(Value(std::move(msg)));
 }
 
@@ -325,7 +323,6 @@ Result<Call> decode_call(const std::string& text) {
   call.method = v.get_string("method", "");
   if (call.method.empty()) return invalid_argument_error("jsonrpc: missing method");
   call.id = v.get_int("id", 0);
-  call.trace = v.get_string("trace", "");
   if (v.has("params")) {
     const Value& p = v.at("params");
     if (!p.is_array()) return invalid_argument_error("jsonrpc: params must be an array");

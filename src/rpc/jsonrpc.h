@@ -25,8 +25,6 @@ struct Call {
   std::string method;
   Array params;
   std::int64_t id = 0;
-  /// Reserved trace metadata (telemetry::format_trace triple; "" = none).
-  std::string trace;
 };
 
 struct Response {
@@ -37,10 +35,7 @@ struct Response {
   std::int64_t id = 0;
 };
 
-/// `trace` (optional) is carried in a reserved top-level "trace" member so
-/// the context survives proxies that strip the x-gae-trace header.
-std::string encode_call(const std::string& method, const Array& params, std::int64_t id,
-                        const std::string& trace = "");
+std::string encode_call(const std::string& method, const Array& params, std::int64_t id);
 std::string encode_response(const Value& result, std::int64_t id);
 std::string encode_fault(int code, const std::string& message, std::int64_t id);
 

@@ -197,8 +197,7 @@ CallContext rpc_context_from_request(const http::Request& req, std::int64_t pick
   CallContext ctx;
   ctx.session_token = req.header("x-clarens-session");
   ctx.protocol = rpc_request_is_json(req) ? "jsonrpc" : "xmlrpc";
-  // Trace context rides the x-gae-trace header; the body's reserved trace
-  // field is the fallback for paths that strip transport headers.
+  // Trace context rides the x-gae-trace header.
   ctx.trace = req.trace;
   ctx.tier = criticality_from_wire(req.tier);
   // Deadline off the wire: remaining milliseconds at client send time, minus
@@ -214,7 +213,7 @@ CallContext rpc_context_from_request(const http::Request& req, std::int64_t pick
 /// Decodes the body, dispatches through `dispatch` (invoked at most once, for
 /// a well-formed call) and encodes the reply, faults included.
 http::Response rpc_dispatch_request(
-    const http::Request& req, CallContext ctx,
+    const http::Request& req, const CallContext& ctx,
     const std::function<Result<Value>(const std::string& method, const Array& params,
                                       const CallContext& ctx)>& dispatch) {
   const bool is_json = rpc_request_is_json(req);
@@ -226,7 +225,6 @@ http::Response rpc_dispatch_request(
       resp.body = jsonrpc::encode_fault(status_to_fault_code(call.status().code()),
                                         call.status().message(), 0);
     } else {
-      if (ctx.trace.empty()) ctx.trace = call.value().trace;
       auto result = dispatch(call.value().method, call.value().params, ctx);
       resp.body = result.is_ok()
                       ? jsonrpc::encode_response(result.value(), call.value().id)
@@ -239,7 +237,6 @@ http::Response rpc_dispatch_request(
       resp.body = xmlrpc::encode_fault(status_to_fault_code(call.status().code()),
                                        call.status().message());
     } else {
-      if (ctx.trace.empty()) ctx.trace = call.value().trace;
       auto result = dispatch(call.value().method, call.value().params, ctx);
       resp.body = result.is_ok()
                       ? xmlrpc::encode_response(result.value())

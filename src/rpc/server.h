@@ -37,8 +37,7 @@ struct CallContext {
   std::string session_token;
   /// "xmlrpc", "jsonrpc" or "local".
   std::string protocol;
-  /// Propagated trace triple off the wire (x-gae-trace header, or the
-  /// body's reserved trace field when the header is absent). "" = none.
+  /// Propagated trace triple off the wire (x-gae-trace header). "" = none.
   std::string trace;
   /// Absolute steady-clock deadline (µs, per rpc/deadline.h) for this call;
   /// 0 = none. Derived from the x-gae-deadline header. dispatch() rejects

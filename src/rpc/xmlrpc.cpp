@@ -293,12 +293,10 @@ std::string xml_escape(const std::string& s) {
   return out;
 }
 
-std::string encode_call(const std::string& method, const Array& params,
-                        const std::string& trace) {
+std::string encode_call(const std::string& method, const Array& params) {
   std::ostringstream out;
   out << "<?xml version=\"1.0\"?><methodCall><methodName>" << xml_escape(method)
       << "</methodName>";
-  if (!trace.empty()) out << "<trace>" << xml_escape(trace) << "</trace>";
   out << "<params>";
   for (const auto& p : params) {
     out << "<param>";
@@ -340,7 +338,6 @@ Result<Call> decode_call(const std::string& xml) {
   if (!name) return invalid_argument_error("xmlrpc: missing <methodName>");
   Call call;
   call.method = name->text;
-  if (const XmlNode* trace = root.child("trace")) call.trace = trace->text;
   if (const XmlNode* params = root.child("params")) {
     for (const auto& p : params->children) {
       if (p.name != "param") continue;

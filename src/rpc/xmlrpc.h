@@ -15,9 +15,6 @@ namespace gae::rpc::xmlrpc {
 struct Call {
   std::string method;
   Array params;
-  /// Reserved trace metadata (telemetry::format_trace triple; "" = none),
-  /// carried in a non-standard <trace> element that standard decoders skip.
-  std::string trace;
 };
 
 /// A decoded <methodResponse>: either a value or a fault.
@@ -28,8 +25,7 @@ struct Response {
   std::string fault_string;
 };
 
-std::string encode_call(const std::string& method, const Array& params,
-                        const std::string& trace = "");
+std::string encode_call(const std::string& method, const Array& params);
 std::string encode_response(const Value& result);
 std::string encode_fault(int code, const std::string& message);
 

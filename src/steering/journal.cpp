@@ -1,80 +1,17 @@
 #include "steering/journal.h"
 
-#include <cctype>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
+
+#include "common/kvcodec.h"
+#include "common/log.h"
 
 namespace gae::steering {
 namespace {
 
 constexpr char kVersion[] = "v1";
 
-bool needs_escape(char c) {
-  return c == ' ' || c == '=' || c == '%' || c == '\n' || c == '\r';
-}
-
-std::string escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    if (needs_escape(c)) {
-      char buf[4];
-      std::snprintf(buf, sizeof(buf), "%%%02X", static_cast<unsigned char>(c));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-Result<std::string> unescape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    if (in[i] != '%') {
-      out += in[i];
-      continue;
-    }
-    if (i + 2 >= in.size() ||
-        !std::isxdigit(static_cast<unsigned char>(in[i + 1])) ||
-        !std::isxdigit(static_cast<unsigned char>(in[i + 2]))) {
-      return invalid_argument_error("bad escape in journal token: " + in);
-    }
-    out += static_cast<char>(std::stoi(in.substr(i + 1, 2), nullptr, 16));
-    i += 2;
-  }
-  return out;
-}
-
-std::vector<std::string> split_ws(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream in(line);
-  std::string tok;
-  while (in >> tok) tokens.push_back(tok);
-  return tokens;
-}
-
 }  // namespace
-
-FileJournalSink::FileJournalSink(std::string path) : path_(std::move(path)) {
-  file_ = std::fopen(path_.c_str(), "a");
-}
-
-FileJournalSink::~FileJournalSink() {
-  if (file_) std::fclose(static_cast<std::FILE*>(file_));
-}
-
-Status FileJournalSink::append(const std::string& line) {
-  if (!file_) return internal_error("journal file not open: " + path_);
-  auto* f = static_cast<std::FILE*>(file_);
-  if (std::fputs(line.c_str(), f) < 0 || std::fputc('\n', f) < 0) {
-    return internal_error("journal write failed: " + path_);
-  }
-  std::fflush(f);
-  return Status::ok();
-}
 
 std::string JournalRecord::field(const std::string& key,
                                  const std::string& fallback) const {
@@ -91,77 +28,44 @@ double JournalRecord::field_double(const std::string& key, double fallback) cons
 }
 
 std::string JournalRecord::to_line() const {
-  std::string line = std::string(kVersion) + " " + escape(kind);
-  for (const auto& [key, value] : fields) {
-    line += " " + escape(key) + "=" + escape(value);
+  std::string line = std::string(kVersion) + " " + kv::escape(kind);
+  if (!fields.empty()) {
+    line += ' ';
+    line += kv::encode(fields);
   }
   return line;
 }
 
 Result<JournalRecord> JournalRecord::parse(const std::string& line) {
-  const std::vector<std::string> tokens = split_ws(line);
-  if (tokens.size() < 2) return invalid_argument_error("short journal line: " + line);
-  if (tokens[0] != kVersion) {
-    return invalid_argument_error("unknown journal version: " + tokens[0]);
+  std::istringstream in(line);
+  std::string version, kind;
+  if (!(in >> version >> kind)) {
+    return invalid_argument_error("short journal line: " + line);
+  }
+  if (version != kVersion) {
+    return invalid_argument_error("unknown journal version: " + version);
   }
   JournalRecord rec;
-  auto kind = unescape(tokens[1]);
-  if (!kind.is_ok()) return kind.status();
-  rec.kind = kind.value();
-  for (std::size_t i = 2; i < tokens.size(); ++i) {
-    const std::size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      return invalid_argument_error("journal token missing '=': " + tokens[i]);
-    }
-    auto key = unescape(tokens[i].substr(0, eq));
-    if (!key.is_ok()) return key.status();
-    auto value = unescape(tokens[i].substr(eq + 1));
-    if (!value.is_ok()) return value.status();
-    rec.fields[key.value()] = value.value();
-  }
+  auto unescaped = kv::unescape(kind);
+  if (!unescaped.is_ok()) return unescaped.status();
+  rec.kind = std::move(unescaped).value();
+  std::string rest;
+  std::getline(in, rest);
+  auto fields = kv::decode(rest);
+  if (!fields.is_ok()) return fields.status();
+  rec.fields = std::move(fields).value();
   return rec;
 }
 
-Result<std::vector<JournalRecord>> parse_journal(const std::vector<std::string>& lines,
-                                                 bool tolerate_trailing_garbage) {
+Result<std::vector<JournalRecord>> parse_journal(const std::vector<std::string>& lines) {
   std::vector<JournalRecord> records;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    auto rec = JournalRecord::parse(lines[i]);
-    if (!rec.is_ok()) {
-      // A torn final line is the normal crash artifact; anything earlier is
-      // real corruption.
-      if (tolerate_trailing_garbage && i + 1 == lines.size()) break;
-      return rec.status();
-    }
+  for (const std::string& line : lines) {
+    if (line.empty()) continue;
+    auto rec = JournalRecord::parse(line);
+    if (!rec.is_ok()) return rec.status();
     records.push_back(std::move(rec).value());
   }
   return records;
-}
-
-Result<std::vector<JournalRecord>> read_journal_file(const std::string& path,
-                                                     bool tolerate_trailing_garbage) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (!f) return not_found_error("journal file not found: " + path);
-  std::vector<std::string> lines;
-  std::string current;
-  int c;
-  while ((c = std::fgetc(f)) != EOF) {
-    if (c == '\n') {
-      lines.push_back(std::move(current));
-      current.clear();
-    } else {
-      current += static_cast<char>(c);
-    }
-  }
-  if (!current.empty()) lines.push_back(std::move(current));
-  std::fclose(f);
-  return parse_journal(lines, tolerate_trailing_garbage);
-}
-
-Status WalJournalSink::append(const std::string& line) {
-  if (!wal_) return failed_precondition_error("journal sink has no wal");
-  return wal_->append(line);
 }
 
 Result<std::vector<std::string>> journal_lines_from_wal(const Wal& wal) {
@@ -182,6 +86,10 @@ Result<std::vector<std::string>> journal_lines_from_wal(const Wal& wal) {
   }
   for (; at < log.records.size(); ++at) {
     lines.push_back(log.records[at].payload);
+  }
+  if (log.corrupt) {
+    GAE_LOG_WARN << "steering journal wal: corruption mid-log; recovered valid prefix ("
+                 << lines.size() << " lines)";
   }
   return lines;
 }

@@ -3,17 +3,15 @@
 // Steering's Backup & Recovery state (which tasks are watched, where they
 // are placed, how they have moved) used to live only in memory: one crashed
 // service host orphaned every watched task. The journal persists that state
-// through a pluggable sink as it changes, and restore_from_journal() replays
-// it so a restarted steering service re-adopts its tasks.
+// in a common::Wal as it changes, and restore_from_journal() replays it so a
+// restarted (or promoted standby) steering service re-adopts its tasks.
 //
-// Format: one record per line, "v1 <kind> key=value ...", keys/values
-// percent-escaped. Append-only by construction — recovery state is always a
-// fold over the full history, never an in-place update.
+// Format: one record per Wal frame, "v1 <kind> key=value ...", kind, keys and
+// values escaped by common/kvcodec. Append-only by construction — recovery
+// state is always a fold over the full history, never an in-place update.
 #pragma once
 
-#include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,64 +20,28 @@
 
 namespace gae::steering {
 
-/// Where journal lines go. Implementations must append durably enough for
-/// their deployment (memory for tests, fsync'd file for a real service).
-class JournalSink {
- public:
-  virtual ~JournalSink() = default;
-  virtual Status append(const std::string& line) = 0;
-};
-
-/// Test/simulation sink: lines kept in memory, handed back for replay.
-class MemoryJournalSink final : public JournalSink {
- public:
-  Status append(const std::string& line) override {
-    lines_.push_back(line);
-    return Status::ok();
-  }
-  const std::vector<std::string>& lines() const { return lines_; }
-
- private:
-  std::vector<std::string> lines_;
-};
-
-/// File-backed sink; every append is flushed so a crash loses at most the
-/// line being written.
-class FileJournalSink final : public JournalSink {
- public:
-  /// Opens `path` for append; INTERNAL on open failure (reported lazily by
-  /// the first append).
-  explicit FileJournalSink(std::string path);
-  ~FileJournalSink();
-
-  Status append(const std::string& line) override;
-
- private:
-  std::string path_;
-  void* file_ = nullptr;  // FILE*, kept out of the header
-};
-
-/// CRC-framed sink: each journal line rides one common::Wal record, which
-/// buys steering's recovery journal torn-tail detection on replay, a
-/// scrubbable on-disk format (storage/scrubber.h watches the same Wal), and
-/// standby replication by wrapping the Wal's storage — none of which the
-/// raw line-per-line FileJournalSink offers. A failed append surfaces to
-/// the caller; the underlying storage latches itself.
-class WalJournalSink final : public JournalSink {
+/// The journal's writer: each line rides one common::Wal record, which buys
+/// torn-tail detection on replay, a scrubbable on-disk format
+/// (storage/scrubber.h watches the same Wal), snapshot compaction, and
+/// standby replication by wrapping the Wal's storage in
+/// ha::ReplicatedWalStorage. A failed append surfaces to the caller; the
+/// underlying storage latches itself.
+class WalJournalSink {
  public:
   /// `wal` must outlive the sink.
   explicit WalJournalSink(Wal* wal) : wal_(wal) {}
 
-  Status append(const std::string& line) override;
+  Status append(const std::string& line) { return wal_->append(line); }
 
  private:
   Wal* wal_;
 };
 
-/// Decodes a journal Wal (frames written by WalJournalSink) back into the
-/// lines restore_from_journal replays. Folds from the last snapshot (its
-/// payload is the newline-joined lines) plus the record tail; a torn final
-/// frame is dropped as the usual crash artifact.
+/// Decodes a journal Wal — the primary's own or a standby's replica — back
+/// into the lines restore_from_journal replays. Folds from the last snapshot
+/// (its payload is the newline-joined lines) plus the record tail; a torn
+/// final frame is dropped as the usual crash artifact, and a mid-log CRC
+/// mismatch keeps the valid prefix and logs a warning.
 Result<std::vector<std::string>> journal_lines_from_wal(const Wal& wal);
 
 /// One journal record: a kind plus flat string fields.
@@ -99,13 +61,7 @@ struct JournalRecord {
 };
 
 /// Parses a whole journal, skipping blank lines. Fails on the first
-/// malformed record (a torn final line after a crash is the caller's call:
-/// pass `tolerate_trailing_garbage` to drop it instead).
-Result<std::vector<JournalRecord>> parse_journal(const std::vector<std::string>& lines,
-                                                 bool tolerate_trailing_garbage = false);
-
-/// Reads a file-backed journal written through FileJournalSink.
-Result<std::vector<JournalRecord>> read_journal_file(const std::string& path,
-                                                     bool tolerate_trailing_garbage = true);
+/// malformed record.
+Result<std::vector<JournalRecord>> parse_journal(const std::vector<std::string>& lines);
 
 }  // namespace gae::steering

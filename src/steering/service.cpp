@@ -710,7 +710,7 @@ Status SteeringService::restore_from_journal(const std::vector<JournalRecord>& r
 }
 
 Status SteeringService::restore_from_journal(const std::vector<std::string>& lines) {
-  auto records = parse_journal(lines, /*tolerate_trailing_garbage=*/true);
+  auto records = parse_journal(lines);
   if (!records.is_ok()) return records.status();
   return restore_from_journal(records.value());
 }

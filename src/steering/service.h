@@ -96,7 +96,7 @@ class SteeringService {
     std::map<std::string, exec::ExecutionService*> services;
     quota::QuotaAccountingService* quota = nullptr;  // optional; "cheap" mode
     clarens::AuthService* auth = nullptr;            // optional; session manager
-    JournalSink* journal = nullptr;                  // optional; Backup & Recovery
+    WalJournalSink* journal = nullptr;               // optional; Backup & Recovery
     monalisa::Repository* monitoring = nullptr;      // optional; counter export
   };
 

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <memory>
 
+#include "common/wal.h"
 #include "exec/execution_service.h"
 #include "net/fault_injector.h"
 #include "rpc/client.h"
@@ -29,6 +30,7 @@ TEST(RecoveryJournal, RecordRoundTripsAwkwardCharacters) {
   rec.kind = "watch";
   rec.fields["task"] = "t 1=weird%stuff";
   rec.fields["detail"] = "line\nbreak and = signs";
+  rec.fields["executable"] = "run\tme\v--now\f";
 
   auto parsed = steering::JournalRecord::parse(rec.to_line());
   ASSERT_TRUE(parsed.is_ok()) << parsed.status();
@@ -36,17 +38,50 @@ TEST(RecoveryJournal, RecordRoundTripsAwkwardCharacters) {
   EXPECT_EQ(parsed.value().fields, rec.fields);
 }
 
+TEST(RecoveryJournal, WireFormatIsStable) {
+  // Journals already on disk must keep replaying, so the bytes of a line
+  // are pinned here.
+  steering::JournalRecord rec;
+  rec.kind = "move";
+  rec.fields["task"] = "t 1";
+  rec.fields["from"] = "site-a";
+  rec.fields["to"] = "site=b%";
+  rec.fields["detail"] = "a\r\nb";
+  EXPECT_EQ(rec.to_line(), "v1 move detail=a%0D%0Ab from=site-a task=t%201 to=site%3Db%25");
+
+  steering::JournalRecord bare;
+  bare.kind = "restart";
+  EXPECT_EQ(bare.to_line(), "v1 restart");
+  auto parsed = steering::JournalRecord::parse("v1 restart");
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status();
+  EXPECT_EQ(parsed.value().kind, "restart");
+  EXPECT_TRUE(parsed.value().fields.empty());
+}
+
 TEST(RecoveryJournal, TornTrailingLineIsTolerated) {
   steering::JournalRecord rec;
   rec.kind = "watch";
   rec.fields["task"] = "t1";
+  // The line parser is strict: a torn line is malformed wherever it sits.
   const std::vector<std::string> lines = {rec.to_line(), "v1 watch task=t2",
                                           "v1 move task"};  // torn mid-write
-  auto strict = steering::parse_journal(lines, /*tolerate_trailing_garbage=*/false);
-  EXPECT_FALSE(strict.is_ok());
-  auto lenient = steering::parse_journal(lines, /*tolerate_trailing_garbage=*/true);
-  ASSERT_TRUE(lenient.is_ok());
-  EXPECT_EQ(lenient.value().size(), 2u);
+  EXPECT_FALSE(steering::parse_journal(lines).is_ok());
+
+  // A crash mid-append tears the journal's last Wal frame instead, and the
+  // Wal's framing drops it before any line reaches the parser.
+  MemoryWalStorage store;
+  Wal wal(&store);
+  steering::WalJournalSink sink(&wal);
+  ASSERT_TRUE(sink.append(rec.to_line()).is_ok());
+  ASSERT_TRUE(sink.append("v1 watch task=t2").is_ok());
+  ASSERT_TRUE(sink.append("v1 move task=t2 from=site-a to=site-b").is_ok());
+  store.mutable_bytes().resize(store.bytes().size() - 5);
+  auto recovered = steering::journal_lines_from_wal(wal);
+  ASSERT_TRUE(recovered.is_ok()) << recovered.status();
+  auto parsed = steering::parse_journal(recovered.value());
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status();
+  ASSERT_EQ(parsed.value().size(), 2u);
+  EXPECT_EQ(parsed.value()[1].field("task"), "t2");
 }
 
 TEST(RecoveryJournal, UnknownVersionRejected) {
@@ -287,11 +322,19 @@ class ChaosRecoveryTest : public ::testing::Test {
     return *steering_;
   }
 
+  std::vector<std::string> journal_lines() const {
+    auto lines = steering::journal_lines_from_wal(journal_wal_);
+    EXPECT_TRUE(lines.is_ok()) << lines.status();
+    return lines.value_or({});
+  }
+
   sim::Simulation sim_;
   sim::Grid grid_;
   sim::NetworkManager net_;
   monalisa::Repository monitoring_;
-  steering::MemoryJournalSink journal_;
+  MemoryWalStorage journal_store_;
+  Wal journal_wal_{&journal_store_};
+  steering::WalJournalSink journal_{&journal_wal_};
   std::unique_ptr<exec::ExecutionService> exec_a_, exec_b_;
   std::shared_ptr<estimators::RuntimeEstimator> est_a_, est_b_;
   std::shared_ptr<estimators::EstimateDatabase> estimate_db_;
@@ -349,7 +392,7 @@ TEST_F(ChaosRecoveryTest, JournalReplayAfterSteeringRestartReadoptsTasks) {
   steering_.reset();
   auto& revived = make_steering(opts);
   EXPECT_EQ(revived.watched_tasks(), 0u);
-  ASSERT_TRUE(revived.restore_from_journal(journal_.lines()).is_ok());
+  ASSERT_TRUE(revived.restore_from_journal(journal_lines()).is_ok());
   EXPECT_EQ(revived.watched_tasks(), 1u);
   EXPECT_EQ(revived.stats().journal_adopted, 1u);
   EXPECT_GE(revived.stats().journal_replayed, 2u);
@@ -363,7 +406,7 @@ TEST_F(ChaosRecoveryTest, JournalReplayAfterSteeringRestartReadoptsTasks) {
   // so another restart adopts nothing.
   steering_.reset();
   auto& third = make_steering(opts);
-  ASSERT_TRUE(third.restore_from_journal(journal_.lines()).is_ok());
+  ASSERT_TRUE(third.restore_from_journal(journal_lines()).is_ok());
   EXPECT_EQ(third.watched_tasks(), 0u);
   EXPECT_EQ(third.stats().journal_adopted, 0u);
 }

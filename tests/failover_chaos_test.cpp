@@ -331,33 +331,68 @@ TEST(Replication, ReplicationLagGaugeTracksUnackedTail) {
 }
 
 TEST(Replication, SteeringJournalLinesSurviveFailover) {
-  steering::MemoryJournalSink primary_sink;
+  // The steering journal replicates the way jobmon does: a plain Wal over
+  // ReplicatedWalStorage, so the primary's own storage is the resync source.
+  MemoryWalStorage primary_store;
   MemoryWalStorage standby_store;
   StandbyReplica replica("steering", &standby_store);
   LocalShipperTransport transport(&replica);
   LogShipper shipper("steering", {});
   shipper.add_standby(&transport);
   shipper.set_epoch(1);
-  ha::ReplicatedJournalSink replicated(&primary_sink, &shipper);
+  ReplicatedWalStorage replicated(&primary_store, &shipper);
+  Wal primary_wal(&replicated);
+  steering::WalJournalSink journal(&primary_wal);
+
+  // What a promoted standby replays: the lines decoded from its own log.
+  const auto lines_of = [](WalStorage* storage) {
+    Wal wal(storage);
+    auto lines = steering::journal_lines_from_wal(wal);
+    EXPECT_TRUE(lines.is_ok()) << lines.status();
+    return lines.value_or({});
+  };
 
   std::vector<std::string> lines = {
       "v1 watch task=t1 site=site-a",
       "v1 place task=t1 site=site-a node=n0",
       "v1 move task=t1 from=site-a to=site-b",
   };
-  for (const auto& line : lines) ASSERT_TRUE(replicated.append(line).is_ok());
+  for (const auto& line : lines) ASSERT_TRUE(journal.append(line).is_ok());
 
-  // The primary's own sink saw every line...
-  EXPECT_EQ(primary_sink.lines(), lines);
+  // The primary's own log saw every line...
+  EXPECT_EQ(lines_of(&primary_store), lines);
   // ...and the standby log decodes back to the identical sequence.
-  auto recovered = ha::journal_lines_from_log(standby_store.bytes());
-  ASSERT_TRUE(recovered.is_ok());
-  EXPECT_EQ(recovered.value(), lines);
+  EXPECT_EQ(lines_of(&standby_store), lines);
   // The recovered lines parse as journal records (what restore_from_journal
   // folds over on the promoted standby).
-  auto parsed = steering::parse_journal(recovered.value());
+  auto parsed = steering::parse_journal(lines_of(&standby_store));
   ASSERT_TRUE(parsed.is_ok());
   EXPECT_EQ(parsed.value().size(), lines.size());
+
+  // Compaction: one snapshot replaces the history on both sides, and a line
+  // appended after it ships as an ordinary frame behind the snapshot.
+  std::string folded;
+  for (const auto& line : lines) folded += line + "\n";
+  ASSERT_TRUE(primary_wal.write_snapshot(folded).is_ok());
+  lines.push_back("v1 done task=t1");
+  ASSERT_TRUE(journal.append(lines.back()).is_ok());
+  EXPECT_EQ(standby_store.bytes(), primary_store.bytes());
+  EXPECT_EQ(Wal::decode(standby_store.bytes()).records.size(), 2u);  // snapshot + 1
+  EXPECT_EQ(lines_of(&standby_store), lines);
+
+  // A standby that joins after the compaction has no frames to catch up
+  // from; the shipper resyncs it from the primary's storage, snapshot
+  // included.
+  MemoryWalStorage late_store;
+  StandbyReplica late_replica("steering", &late_store);
+  LocalShipperTransport late_transport(&late_replica);
+  shipper.add_standby(&late_transport);
+  lines.push_back("v1 watch task=t2 site=site-b");
+  ASSERT_TRUE(journal.append(lines.back()).is_ok());
+  EXPECT_EQ(shipper.stats().resyncs, 1u);
+  EXPECT_EQ(late_store.bytes(), primary_store.bytes());
+  EXPECT_EQ(lines_of(&late_store), lines);
+  EXPECT_EQ(lines_of(&standby_store), lines);
 }
 
 // The flagship: kill the jobmon primary mid-workload with replication over

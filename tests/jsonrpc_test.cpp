@@ -126,18 +126,6 @@ TEST(JsonRpc, CallValidation) {
   EXPECT_TRUE(jsonrpc::decode_call(R"({"method":"m"})").is_ok());   // params optional
 }
 
-TEST(JsonRpc, TraceMemberRoundTrips) {
-  // The reserved top-level "trace" member carries the trace triple for
-  // peers that cannot set the x-gae-trace header.
-  auto call = jsonrpc::decode_call(jsonrpc::encode_call("m", {}, 1, "00c0ffee;01;00"));
-  ASSERT_TRUE(call.is_ok());
-  EXPECT_EQ(call.value().trace, "00c0ffee;01;00");
-
-  auto bare = jsonrpc::decode_call(jsonrpc::encode_call("m", {}, 1));
-  ASSERT_TRUE(bare.is_ok());
-  EXPECT_TRUE(bare.value().trace.empty());
-}
-
 TEST(JsonRpc, ResponseValidation) {
   EXPECT_FALSE(jsonrpc::decode_response("{}").is_ok());  // neither result nor error
   auto with_null_error =

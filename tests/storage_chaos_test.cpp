@@ -861,6 +861,23 @@ TEST(WalJournalSink, RoundTripsLinesAndDropsTornTail) {
   auto torn = steering::journal_lines_from_wal(wal);
   ASSERT_TRUE(torn.is_ok());
   EXPECT_EQ(torn.value().size(), 2u);
+
+  // A CRC mismatch mid-log keeps the valid prefix: flip one payload byte of
+  // the second of three frames, and only the first line survives.
+  MemoryWalStorage damaged_store;
+  Wal damaged(&damaged_store);
+  steering::WalJournalSink damaged_sink(&damaged);
+  ASSERT_TRUE(damaged_sink.append(watch.to_line()).is_ok());
+  ASSERT_TRUE(damaged_sink.append(place.to_line()).is_ok());
+  ASSERT_TRUE(damaged_sink.append(done.to_line()).is_ok());
+  const std::size_t second_frame_end =
+      Wal::encode_frame(WalRecord::Type::kRecord, watch.to_line()).size() +
+      Wal::encode_frame(WalRecord::Type::kRecord, place.to_line()).size();
+  damaged_store.mutable_bytes()[second_frame_end - 1] ^= 0x01;
+  ASSERT_TRUE(damaged.read().value().corrupt);
+  auto prefix = steering::journal_lines_from_wal(damaged);
+  ASSERT_TRUE(prefix.is_ok()) << prefix.status();
+  EXPECT_EQ(prefix.value(), std::vector<std::string>{watch.to_line()});
 }
 
 }  // namespace

@@ -195,7 +195,9 @@ class SupervisionChaosTest : public ::testing::Test {
 
   Status restart_steering(const steering::SteeringOptions& options) {
     auto& revived = make_steering(options);
-    const Status s = revived.restore_from_journal(journal_.lines());
+    auto lines = steering::journal_lines_from_wal(journal_wal_);
+    if (!lines.is_ok()) return lines.status();
+    const Status s = revived.restore_from_journal(lines.value());
     if (!s.is_ok()) return s;
     steering_lease_ = registry_.register_service(service_info("steering"));
     return Status::ok();
@@ -207,7 +209,9 @@ class SupervisionChaosTest : public ::testing::Test {
   clarens::ServiceRegistry registry_;
   MemoryWalStorage jobmon_storage_, estimate_storage_;
   Wal jobmon_wal_, estimate_wal_;
-  steering::MemoryJournalSink journal_;
+  MemoryWalStorage journal_store_;
+  Wal journal_wal_{&journal_store_};
+  steering::WalJournalSink journal_{&journal_wal_};
 
   std::unique_ptr<exec::ExecutionService> exec_a_, exec_b_;
   std::shared_ptr<estimators::RuntimeEstimator> est_a_, est_b_;

@@ -17,10 +17,7 @@
 #include "jobmon/rpc_binding.h"
 #include "jobmon/service.h"
 #include "monalisa/repository.h"
-#include "net/socket.h"
 #include "rpc/client.h"
-#include "rpc/http.h"
-#include "rpc/xmlrpc.h"
 #include "sim/engine.h"
 #include "sim/grid.h"
 #include "sim/load.h"
@@ -408,34 +405,6 @@ TEST_F(TracedSteeringTest, SnapshotRpcReportsPerMethodPercentiles) {
     }
   }
   EXPECT_TRUE(saw_client_attempts);
-}
-
-TEST_F(TracedSteeringTest, ServerAdoptsBodyTraceWhenHeaderAbsent) {
-  // A peer that cannot set HTTP headers carries the triple in the body's
-  // reserved <trace> element; the server falls back to it when the
-  // x-gae-trace header is missing.
-  TraceContext remote;
-  remote.trace_id = 0xc0ffee;
-  remote.span_id = 0xbeef;
-
-  auto stream = net::TcpStream::connect("127.0.0.1", port_);
-  ASSERT_TRUE(stream.is_ok()) << stream.status();
-  rpc::http::Request req;
-  req.headers["content-type"] = "text/xml";
-  req.headers["host"] = "127.0.0.1";
-  req.body = rpc::xmlrpc::encode_call("telemetry.snapshot", {},
-                                      telemetry::format_trace(remote));
-  ASSERT_TRUE(req.trace.empty());  // no header carrier on this request
-  ASSERT_TRUE(rpc::http::write_request(stream.value(), req).is_ok());
-  auto resp = rpc::http::read_response(stream.value());
-  ASSERT_TRUE(resp.is_ok()) << resp.status();
-  EXPECT_EQ(resp.value().status_code, 200);
-
-  const auto spans = tracer_.trace(remote.trace_id);
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].service, "gae-host");
-  EXPECT_EQ(spans[0].name, "telemetry.snapshot");
-  EXPECT_EQ(spans[0].context.parent_span_id, remote.span_id);
 }
 
 // ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ TEST(KvCodec, RoundTripsAwkwardCharacters) {
       {"plain", "value"},
       {"spaces and = signs", "100% weird\nnewline\rcarriage"},
       {"empty", ""},
+      {"tab\tkey", "vertical\vtab\fform feed"},
   };
   auto decoded = kv::decode(kv::encode(fields));
   ASSERT_TRUE(decoded.is_ok()) << decoded.status();

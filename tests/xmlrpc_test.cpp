@@ -137,18 +137,6 @@ TEST(XmlRpcDecode, BadBooleanRejected) {
                    .is_ok());
 }
 
-TEST(XmlRpc, TraceElementRoundTrips) {
-  // The reserved <trace> element carries the trace triple for peers that
-  // cannot set the x-gae-trace header.
-  auto call = decode_call(encode_call("m", {}, "00c0ffee;01;00"));
-  ASSERT_TRUE(call.is_ok());
-  EXPECT_EQ(call.value().trace, "00c0ffee;01;00");
-
-  auto bare = decode_call(encode_call("m", {}));
-  ASSERT_TRUE(bare.is_ok());
-  EXPECT_TRUE(bare.value().trace.empty());
-}
-
 TEST(XmlEscape, AllEntities) {
   EXPECT_EQ(xml_escape("<>&\"'"), "&lt;&gt;&amp;&quot;&apos;");
   EXPECT_EQ(xml_escape("plain"), "plain");
