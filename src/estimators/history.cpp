@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/kvcodec.h"
@@ -60,10 +61,66 @@ void TaskHistoryStore::add(HistoryEntry entry) {
       if (health_) health_->mark_read_only("wal append failed: " + s.message());
     }
   }
+  // Positions are 32-bit; a trimmed store that has seen 2^32 samples
+  // renumbers its survivors from 0.
+  if (first_seq_ + entries_.size() > std::numeric_limits<HistorySeq>::max()) reindex();
+  index_entry(static_cast<HistorySeq>(first_seq_ + entries_.size()), entry);
   entries_.push_back(std::move(entry));
   if (max_entries_ > 0 && entries_.size() > max_entries_) {
-    entries_.erase(entries_.begin(),
-                   entries_.begin() + static_cast<std::ptrdiff_t>(entries_.size() - max_entries_));
+    const std::size_t drop = entries_.size() - max_entries_;
+    for (std::size_t i = 0; i < drop; ++i) unindex_oldest(entries_[i]);
+    entries_.erase(entries_.begin(), entries_.begin() + static_cast<std::ptrdiff_t>(drop));
+    first_seq_ += static_cast<HistorySeq>(drop);
+  }
+}
+
+void TaskHistoryStore::clear() {
+  entries_.clear();
+  reindex();
+}
+
+std::span<const HistorySeq> TaskHistoryStore::postings(const std::string& key,
+                                                       const std::string& value) const {
+  const auto k = index_.find(key);
+  if (k == index_.end()) return {};
+  const auto v = k->second.find(value);
+  if (v == k->second.end()) return {};
+  return v->second.view();
+}
+
+void TaskHistoryStore::Postings::pop_front() {
+  if (++head * 2 >= seqs.size()) {
+    seqs.erase(seqs.begin(), seqs.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+}
+
+void TaskHistoryStore::index_entry(HistorySeq seq, const HistoryEntry& entry) {
+  if (!entry.successful) return;
+  successful_.seqs.push_back(seq);
+  for (const auto& [key, value] : entry.attributes) index_[key][value].seqs.push_back(seq);
+}
+
+// `entry` is the oldest one left, so its position heads every list it is on.
+void TaskHistoryStore::unindex_oldest(const HistoryEntry& entry) {
+  if (!entry.successful) return;
+  successful_.pop_front();
+  for (const auto& [key, value] : entry.attributes) {
+    const auto k = index_.find(key);
+    const auto v = k->second.find(value);
+    v->second.pop_front();
+    if (!v->second.empty()) continue;
+    k->second.erase(v);
+    if (k->second.empty()) index_.erase(k);
+  }
+}
+
+void TaskHistoryStore::reindex() {
+  index_.clear();
+  successful_ = {};
+  first_seq_ = 0;
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    index_entry(static_cast<HistorySeq>(i), entries_[i]);
   }
 }
 
@@ -114,7 +171,9 @@ Status TaskHistoryStore::recover() {
     const Status s = apply(log.records[at].payload);
     if (!s.is_ok()) return s;
   }
-  entries_ = std::move(recovered.entries_);
+  recovered.wal_ = wal_;
+  recovered.health_ = health_;
+  *this = std::move(recovered);
   return Status::ok();
 }
 

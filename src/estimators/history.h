@@ -5,8 +5,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -26,6 +29,13 @@ struct HistoryEntry {
   bool successful = true;
 };
 
+/// Position of an entry in its store: entries are numbered 0, 1, 2... in
+/// the order add() saw them, and trimming does not renumber the survivors.
+using HistorySeq = std::uint32_t;
+
+/// The store keeps an inverted index over its successful entries, so that
+/// similarity search reads only the entries that share an attribute value
+/// with the query instead of scanning the whole history.
 class TaskHistoryStore {
  public:
   /// `max_entries` bounds memory; the oldest entries fall off. 0 = unbounded.
@@ -46,7 +56,15 @@ class TaskHistoryStore {
   bool empty() const { return entries_.empty(); }
   const std::vector<HistoryEntry>& entries() const { return entries_; }
 
-  void clear() { entries_.clear(); }
+  void clear();
+
+  /// Ascending positions of the successful entries whose attribute `key`
+  /// equals `value` (empty when there are none).
+  std::span<const HistorySeq> postings(const std::string& key, const std::string& value) const;
+  /// Ascending positions of every successful entry.
+  std::span<const HistorySeq> successful() const { return successful_.view(); }
+  /// The entry at position `seq`; `seq` must come from postings()/successful().
+  const HistoryEntry& at(HistorySeq seq) const { return entries_[seq - first_seq_]; }
 
   /// Compacts the WAL to one snapshot of the current entries.
   Status save_snapshot();
@@ -59,10 +77,32 @@ class TaskHistoryStore {
   std::string export_state() const;
 
  private:
+  /// One posting list: ascending positions, live from `head` on. Trimming
+  /// pops from the front; the dead prefix is compacted away once it makes
+  /// up half the vector.
+  struct Postings {
+    std::vector<HistorySeq> seqs;
+    std::size_t head = 0;
+
+    std::span<const HistorySeq> view() const {
+      return std::span<const HistorySeq>(seqs).subspan(head);
+    }
+    bool empty() const { return head == seqs.size(); }
+    void pop_front();
+  };
+  using ValuePostings = std::unordered_map<std::string, Postings>;
+
+  void index_entry(HistorySeq seq, const HistoryEntry& entry);
+  void unindex_oldest(const HistoryEntry& entry);
+  void reindex();
+
   std::size_t max_entries_;
   Wal* wal_ = nullptr;
   storage::StoreHealth* health_ = nullptr;
-  std::vector<HistoryEntry> entries_;  // oldest first
+  std::vector<HistoryEntry> entries_;  // oldest first; entries_[0] is first_seq_
+  HistorySeq first_seq_ = 0;
+  std::unordered_map<std::string, ValuePostings> index_;  // key -> value -> postings
+  Postings successful_;
 };
 
 /// One-line codec for a history entry (the WAL payload format).

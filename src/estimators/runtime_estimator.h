@@ -60,7 +60,9 @@ class RuntimeEstimator {
 
   /// Degraded-mode estimate: the mean over every successful history entry,
   /// skipping similarity matching and regression entirely. O(history) with
-  /// no template scoring — what the service serves while browned out.
+  /// no template scoring — what the service serves while browned out. For a
+  /// task with similar history it costs more than estimate(), whose search
+  /// reads only the index's posting lists.
   /// template_name is "*" and `used` is kMean. FAILED_PRECONDITION when no
   /// successful entries exist.
   Result<RuntimeEstimate> estimate_cheap() const;

@@ -1,5 +1,8 @@
 #include "estimators/similarity.h"
 
+#include <algorithm>
+#include <span>
+
 namespace gae::estimators {
 
 std::string SimilarityTemplate::name() const {
@@ -47,18 +50,51 @@ SimilarityMatcher::SimilarityMatcher(std::vector<SimilarityTemplate> templates)
   if (templates_.empty()) templates_.push_back(SimilarityTemplate{});
 }
 
+namespace {
+
+/// Entries of `history` that share every `tmpl` key's value with
+/// `attributes` (SimilarityTemplate::matches), oldest first: the posting
+/// lists of those key/value pairs intersected, driven from the shortest.
+std::vector<const HistoryEntry*> matching_entries(
+    const TaskHistoryStore& history, const SimilarityTemplate& tmpl,
+    const std::map<std::string, std::string>& attributes) {
+  std::vector<std::span<const HistorySeq>> lists;
+  lists.reserve(tmpl.keys.size());
+  for (const auto& key : tmpl.keys) {
+    const auto it = attributes.find(key);
+    if (it == attributes.end()) return {};
+    const auto list = history.postings(key, it->second);
+    if (list.empty()) return {};
+    lists.push_back(list);
+  }
+  if (lists.empty()) lists.push_back(history.successful());
+  std::sort(lists.begin(), lists.end(),
+            [](const auto& a, const auto& b) { return a.size() < b.size(); });
+
+  std::vector<const HistoryEntry*> matched;
+  for (const HistorySeq seq : lists.front()) {
+    bool everywhere = true;
+    for (std::size_t i = 1; i < lists.size() && everywhere; ++i) {
+      // Candidates ascend, so each longer list is only ever searched forward.
+      auto& list = lists[i];
+      list = list.subspan(static_cast<std::size_t>(
+          std::lower_bound(list.begin(), list.end(), seq) - list.begin()));
+      everywhere = !list.empty() && list.front() == seq;
+    }
+    if (everywhere) matched.push_back(&history.at(seq));
+  }
+  return matched;
+}
+
+}  // namespace
+
 SimilarityMatcher::Match SimilarityMatcher::find_similar(
     const TaskHistoryStore& history, const std::map<std::string, std::string>& attributes,
     std::size_t min_matches) const {
   if (min_matches == 0) min_matches = 1;
   Match best;
   for (const auto& tmpl : templates_) {
-    std::vector<const HistoryEntry*> matched;
-    for (const auto& entry : history.entries()) {
-      if (entry.successful && tmpl.matches(attributes, entry.attributes)) {
-        matched.push_back(&entry);
-      }
-    }
+    std::vector<const HistoryEntry*> matched = matching_entries(history, tmpl, attributes);
     if (matched.size() >= min_matches) {
       best.entries = std::move(matched);
       best.template_name = tmpl.name();

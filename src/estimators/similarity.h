@@ -40,6 +40,8 @@ class SimilarityMatcher {
   /// Entries similar to `attributes` under the most specific template that
   /// produces at least `min_matches` successful entries. Falls back towards
   /// less specific templates; returns an empty match only for empty history.
+  /// Reads the history's posting lists, so a template costs in proportion to
+  /// the lists it intersects, not to the size of the history.
   Match find_similar(const TaskHistoryStore& history,
                      const std::map<std::string, std::string>& attributes,
                      std::size_t min_matches) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 
 #include "common/log.h"
 
@@ -153,29 +154,35 @@ Status ExecutionService::inject_task_failure(const std::string& task_id,
 // Queries
 // ---------------------------------------------------------------------------
 
+TaskInfo ExecutionService::snapshot(const TaskRec& rec, int queue_position) const {
+  TaskInfo info = rec.info;
+  info.cpu_seconds_used = current_cpu_seconds(rec);
+  info.progress = std::min(1.0, info.cpu_seconds_used / info.spec.work_seconds);
+  info.queue_position = queue_position;
+  return info;
+}
+
 Result<TaskInfo> ExecutionService::query(const std::string& task_id) const {
   if (!up_) return unavailable_error("execution service at " + site_ + " is down");
   const TaskRec* rec = find(task_id);
   if (!rec) return not_found_error("no such task: " + task_id);
-  TaskInfo info = rec->info;
-  info.cpu_seconds_used = current_cpu_seconds(*rec);
-  info.progress = std::min(1.0, info.cpu_seconds_used / info.spec.work_seconds);
-  info.queue_position = -1;
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    if (queue_[i] == task_id) {
-      info.queue_position = static_cast<int>(i);
-      break;
-    }
-  }
-  return info;
+  const auto queued = std::find(queue_.begin(), queue_.end(), task_id);
+  return snapshot(*rec, queued == queue_.end() ? -1
+                                               : static_cast<int>(queued - queue_.begin()));
 }
 
 std::vector<TaskInfo> ExecutionService::list_tasks() const {
   std::vector<TaskInfo> out;
+  if (!up_) return out;
+  // One pass over the queue; a task's first place in it wins, as in query().
+  std::unordered_map<const TaskRec*, int> position;
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    if (const TaskRec* rec = find(queue_[i])) position.emplace(rec, static_cast<int>(i));
+  }
   out.reserve(tasks_.size());
   for (const auto& [id, rec] : tasks_) {
-    auto q = query(id);
-    if (q.is_ok()) out.push_back(std::move(q).value());
+    const auto at = position.find(&rec);
+    out.push_back(snapshot(rec, at == position.end() ? -1 : at->second));
   }
   return out;
 }

@@ -191,6 +191,8 @@ class ExecutionService {
   void finish(TaskRec& rec, TaskState terminal, const std::string& detail);
 
   double current_cpu_seconds(const TaskRec& rec) const;
+  /// Point-in-time view of `rec` (query() and list_tasks() share it).
+  TaskInfo snapshot(const TaskRec& rec, int queue_position) const;
 
   sim::Simulation& sim_;
   sim::Grid& grid_;

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
+#include <thread>
+
+#include "common/rng.h"
+#include "common/wal.h"
 #include "estimators/estimate_db.h"
 #include "estimators/recorder.h"
 #include "exec/execution_service.h"
@@ -214,6 +220,212 @@ TEST(RuntimeEstimator, TraceAccuracyInPaperRegime) {
   const double mean_error = total_abs_pct_error / 20.0;
   // Paper reports 13.53%; accept the same order of magnitude.
   EXPECT_LT(mean_error, 40.0);
+}
+
+// -- The history index against a brute-force oracle --------------------------
+
+// The linear scan that similarity search did before the store was indexed:
+// every successful entry, tested with SimilarityTemplate::matches, oldest
+// first, template by template.
+SimilarityMatcher::Match scan_similar(const TaskHistoryStore& history,
+                                      const std::vector<SimilarityTemplate>& templates,
+                                      const std::map<std::string, std::string>& probe,
+                                      std::size_t min_matches) {
+  SimilarityMatcher::Match best;
+  for (const auto& tmpl : templates) {
+    std::vector<const HistoryEntry*> matched;
+    for (const auto& entry : history.entries()) {
+      if (entry.successful && tmpl.matches(probe, entry.attributes)) matched.push_back(&entry);
+    }
+    if (matched.size() >= min_matches) return {std::move(matched), tmpl.name()};
+    if (matched.size() > best.entries.size()) best = {std::move(matched), tmpl.name()};
+  }
+  return best;
+}
+
+// Small vocabularies so that templates collide often; every key may be
+// missing, and one run in five fails.
+HistoryEntry random_entry(Rng& rng) {
+  static const std::vector<std::pair<std::string, int>> kKeys = {
+      {"executable", 6}, {"login", 4}, {"queue", 3}, {"partition", 2}};
+  HistoryEntry entry;
+  for (const auto& [key, values] : kKeys) {
+    if (rng.bernoulli(0.85)) {
+      entry.attributes[key] = key.substr(0, 1) + std::to_string(rng.uniform_int(0, values - 1));
+    }
+  }
+  // Numeric, so the hybrid estimator's regression on nodes runs too.
+  if (rng.bernoulli(0.85)) entry.attributes["nodes"] = std::to_string(1 << rng.uniform_int(0, 3));
+  entry.runtime_seconds = rng.uniform(10.0, 5000.0);
+  entry.recorded_at = from_seconds(rng.uniform(0.0, 1e6));
+  entry.successful = rng.bernoulli(0.8);
+  return entry;
+}
+
+// History-like probes, plus values never recorded, an attribute no entry
+// carries, and the empty task.
+std::vector<std::map<std::string, std::string>> oracle_probes(Rng& rng) {
+  std::vector<std::map<std::string, std::string>> probes;
+  for (int i = 0; i < 60; ++i) probes.push_back(random_entry(rng).attributes);
+  for (int i = 0; i < 10; ++i) {
+    auto probe = random_entry(rng).attributes;
+    probe["executable"] = "never-recorded";
+    probes.push_back(probe);
+    probe = random_entry(rng).attributes;
+    probe["color"] = "blue";
+    probes.push_back(probe);
+  }
+  probes.push_back({});
+  return probes;
+}
+
+// Every match and estimate `history` gives equals the oracle's.
+void expect_index_matches_scan(const std::shared_ptr<TaskHistoryStore>& history,
+                               std::uint64_t seed) {
+  SCOPED_TRACE("store of " + std::to_string(history->size()) + " entries");
+  Rng rng(seed);
+  const std::vector<std::vector<SimilarityTemplate>> template_sets = {
+      default_templates(), {SimilarityTemplate{}}, {SimilarityTemplate{{"color"}}}};
+  for (const auto& probe : oracle_probes(rng)) {
+    for (const auto& templates : template_sets) {
+      const SimilarityMatcher matcher(templates);
+      for (const std::size_t min_matches : {1u, 3u, 40u}) {
+        const auto got = matcher.find_similar(*history, probe, min_matches);
+        const auto want = scan_similar(*history, templates, probe, min_matches);
+        ASSERT_EQ(got.entries, want.entries) << want.template_name;
+        ASSERT_EQ(got.template_name, want.template_name);
+
+        // The same match set gives the same estimate: an estimator over a
+        // store holding exactly the oracle's entries, matched by "(any)",
+        // must agree to the bit.
+        RuntimeEstimatorOptions opts;
+        opts.min_matches = min_matches;
+        auto matched_only = std::make_shared<TaskHistoryStore>();
+        for (const HistoryEntry* e : want.entries) matched_only->add(*e);
+        const RuntimeEstimator indexed(history, matcher, opts);
+        const RuntimeEstimator oracle(matched_only, SimilarityMatcher({SimilarityTemplate{}}),
+                                      opts);
+        const auto a = indexed.estimate(probe);
+        const auto b = oracle.estimate(probe);
+        ASSERT_EQ(a.is_ok(), b.is_ok());
+        if (!a.is_ok()) continue;
+        ASSERT_EQ(a.value().seconds, b.value().seconds);
+        ASSERT_EQ(a.value().samples, b.value().samples);
+        ASSERT_EQ(a.value().stddev, b.value().stddev);
+        ASSERT_EQ(a.value().used, b.value().used);
+      }
+    }
+  }
+}
+
+void fill(TaskHistoryStore& store, Rng& rng, int n) {
+  for (int i = 0; i < n; ++i) store.add(random_entry(rng));
+}
+
+TEST(HistoryIndex, MatchesBruteForceScanAcrossEveryMutator) {
+  Rng rng(1405);
+
+  auto unbounded = std::make_shared<TaskHistoryStore>();
+  fill(*unbounded, rng, 600);
+  ASSERT_NO_FATAL_FAILURE(expect_index_matches_scan(unbounded, 1));
+
+  // max_entries trimming, wrapping the 50-entry window twelve times.
+  auto trimmed = std::make_shared<TaskHistoryStore>(50);
+  fill(*trimmed, rng, 600);
+  ASSERT_EQ(trimmed->size(), 50u);
+  ASSERT_NO_FATAL_FAILURE(expect_index_matches_scan(trimmed, 2));
+
+  // A copy and a move are whole stores; the copy evolves on its own.
+  auto copy = std::make_shared<TaskHistoryStore>(*trimmed);
+  fill(*copy, rng, 75);
+  ASSERT_NO_FATAL_FAILURE(expect_index_matches_scan(copy, 3));
+  ASSERT_NO_FATAL_FAILURE(expect_index_matches_scan(trimmed, 4));
+  auto moved = std::make_shared<TaskHistoryStore>(std::move(*copy));
+  fill(*moved, rng, 30);
+  ASSERT_NO_FATAL_FAILURE(expect_index_matches_scan(moved, 5));
+  *trimmed = *unbounded;  // copy-assign across different max_entries
+  ASSERT_NO_FATAL_FAILURE(expect_index_matches_scan(trimmed, 6));
+
+  // clear() forgets everything; the store refills from empty.
+  moved->clear();
+  EXPECT_TRUE(moved->successful().empty());
+  EXPECT_TRUE(SimilarityMatcher().find_similar(*moved, {}, 1).entries.empty());
+  fill(*moved, rng, 120);
+  ASSERT_NO_FATAL_FAILURE(expect_index_matches_scan(moved, 7));
+
+  // load_history rebuilds through add(), trimming to 50 as it goes.
+  const std::string path = ::testing::TempDir() + "/gae_history_index.csv";
+  ASSERT_TRUE(save_history(*unbounded, path).is_ok());
+  auto loaded = load_history(path, 50);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status();
+  auto reloaded = std::make_shared<TaskHistoryStore>(std::move(loaded).value());
+  ASSERT_EQ(reloaded->size(), 50u);
+  ASSERT_NO_FATAL_FAILURE(expect_index_matches_scan(reloaded, 8));
+
+  // WAL recovery (snapshot + tail) into a store that held other entries,
+  // then more samples on top of the recovered state.
+  MemoryWalStorage storage;
+  Wal wal(&storage);
+  TaskHistoryStore journaled(80);
+  journaled.attach_wal(&wal);
+  fill(journaled, rng, 200);
+  ASSERT_TRUE(journaled.save_snapshot().is_ok());
+  fill(journaled, rng, 150);
+  auto revived = std::make_shared<TaskHistoryStore>(80);
+  fill(*revived, rng, 40);
+  revived->attach_wal(&wal);
+  ASSERT_TRUE(revived->recover().is_ok());
+  ASSERT_EQ(revived->export_state(), journaled.export_state());
+  ASSERT_NO_FATAL_FAILURE(expect_index_matches_scan(revived, 9));
+  fill(*revived, rng, 100);
+  ASSERT_NO_FATAL_FAILURE(expect_index_matches_scan(revived, 10));
+}
+
+// The estimator host serves estimates from several worker threads over one
+// store; the read path takes no lock, so it must not write anything.
+TEST(RuntimeEstimator, ConcurrentEstimatesShareOneStore) {
+  Rng rng(2005);
+  const auto population = workload::ApplicationPopulation::make(rng, {});
+  workload::TraceOptions topts;
+  topts.num_records = 4096;
+  auto store = std::make_shared<TaskHistoryStore>();
+  for (const auto& rec : workload::generate_trace(population, rng, topts)) {
+    store->add({workload::record_attributes(rec), rec.runtime_seconds(), rec.complete_time,
+                rec.successful});
+  }
+  // Probes drawn apart from the history, as a scheduler's tasks are.
+  Rng probe_rng = rng.fork("probes");
+  topts.num_records = 128;
+  std::vector<std::map<std::string, std::string>> probes;
+  for (const auto& rec : workload::generate_trace(population, probe_rng, topts)) {
+    probes.push_back(workload::record_attributes(rec));
+  }
+
+  const RuntimeEstimator estimator(store);
+  std::vector<RuntimeEstimate> expected;
+  for (const auto& probe : probes) expected.push_back(estimator.estimate(probe).value());
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < 4; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::size_t round = 0; round < 2; ++round) {
+        for (std::size_t i = 0; i < probes.size(); ++i) {
+          const std::size_t k = (i + t * probes.size() / 4) % probes.size();
+          const auto got = estimator.estimate(probes[k]);
+          if (!got.is_ok() || got.value().seconds != expected[k].seconds ||
+              got.value().samples != expected[k].samples ||
+              got.value().stddev != expected[k].stddev ||
+              got.value().template_name != expected[k].template_name) {
+            ++mismatches;
+          }
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(SiteRuntimeRecorder, RecordsCompletionsIntoHistory) {

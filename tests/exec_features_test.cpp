@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 
 #include "estimators/runtime_estimator.h"
 #include "exec/execution_service.h"
@@ -363,6 +364,74 @@ TEST(HistoryPersistence, LoadedHistoryDrivesEstimates) {
   ASSERT_TRUE(r.is_ok());
   EXPECT_NEAR(r.value().seconds, 283.0, 1e-9);
   std::remove(path.c_str());
+}
+
+void expect_same_task_info(const TaskInfo& a, const TaskInfo& b) {
+  SCOPED_TRACE(b.spec.id);
+  EXPECT_EQ(a.spec.id, b.spec.id);
+  EXPECT_EQ(a.spec.job_id, b.spec.job_id);
+  EXPECT_EQ(a.spec.owner, b.spec.owner);
+  EXPECT_EQ(a.spec.executable, b.spec.executable);
+  EXPECT_EQ(a.spec.work_seconds, b.spec.work_seconds);
+  EXPECT_EQ(a.spec.priority, b.spec.priority);
+  EXPECT_EQ(a.spec.input_files, b.spec.input_files);
+  EXPECT_EQ(a.spec.output_bytes, b.spec.output_bytes);
+  EXPECT_EQ(a.spec.checkpointable, b.spec.checkpointable);
+  EXPECT_EQ(a.spec.environment, b.spec.environment);
+  EXPECT_EQ(a.spec.attributes, b.spec.attributes);
+  EXPECT_EQ(a.state, b.state);
+  EXPECT_EQ(a.submit_time, b.submit_time);
+  EXPECT_EQ(a.start_time, b.start_time);
+  EXPECT_EQ(a.completion_time, b.completion_time);
+  EXPECT_EQ(a.cpu_seconds_used, b.cpu_seconds_used);
+  EXPECT_EQ(a.progress, b.progress);
+  EXPECT_EQ(a.queue_position, b.queue_position);
+  EXPECT_EQ(a.node, b.node);
+  EXPECT_EQ(a.input_bytes_transferred, b.input_bytes_transferred);
+  EXPECT_EQ(a.output_bytes_written, b.output_bytes_written);
+  EXPECT_EQ(a.detail, b.detail);
+}
+
+TEST(ListTasks, EveryTaskEqualsItsQuery) {
+  sim::Simulation sim;
+  sim::Grid grid;
+  auto& site = grid.add_site("s");
+  for (int i = 0; i < 3; ++i) site.add_node("n" + std::to_string(i), 1.0, nullptr);
+  grid.add_site("remote").store_file("data.root", 1'000'000'000);  // 10 s of staging
+  ExecutionService exec(sim, grid, "s");
+
+  ASSERT_TRUE(exec.submit(make_spec("done", 1)).is_ok());
+  ASSERT_TRUE(exec.submit(make_spec("run", 100)).is_ok());
+  auto staged = make_spec("stage", 100);
+  staged.input_files = {"data.root"};
+  ASSERT_TRUE(exec.submit(staged).is_ok());
+  ASSERT_TRUE(exec.submit(make_spec("susp", 50)).is_ok());
+  ASSERT_TRUE(exec.submit(make_spec("killme", 50)).is_ok());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(exec.submit(make_spec("q" + std::to_string(i), 50, "bob", i % 2)).is_ok());
+  }
+  sim.run_until(from_seconds(3));  // "done" finished; q1 took its node
+  ASSERT_TRUE(exec.suspend("susp").is_ok());
+  ASSERT_TRUE(exec.kill("killme").is_ok());
+  sim.run_until(from_seconds(4));
+
+  const auto all = exec.list_tasks();
+  ASSERT_EQ(all.size(), 9u);
+  std::set<TaskState> states;
+  for (const TaskInfo& info : all) {
+    states.insert(info.state);
+    auto queried = exec.query(info.spec.id);
+    ASSERT_TRUE(queried.is_ok());
+    expect_same_task_info(info, queried.value());
+  }
+  EXPECT_EQ(states, (std::set<TaskState>{TaskState::kQueued, TaskState::kStaging,
+                                         TaskState::kRunning, TaskState::kSuspended,
+                                         TaskState::kCompleted, TaskState::kKilled}));
+  EXPECT_EQ(exec.query("q3").value().queue_position, 0);  // priority 1 before 0
+  EXPECT_EQ(exec.query("q2").value().queue_position, 2);
+
+  exec.fail_service();
+  EXPECT_TRUE(exec.list_tasks().empty());
 }
 
 }  // namespace
