@@ -53,6 +53,75 @@ void BM_XmlRpcDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_XmlRpcDecode)->Arg(4)->Arg(16)->Arg(64);
 
+/// A jobmon.info response as jobmon::report_to_value shapes it: 21 members,
+/// 8 of them doubles.
+Value job_info_shape() {
+  Struct env;
+  env["GAE_SITE"] = Value("site-a");
+  env["OMP_NUM_THREADS"] = Value("1");
+  Struct s;
+  s["task_id"] = Value("task-000042");
+  s["job_id"] = Value("job-0007");
+  s["owner"] = Value("analyst");
+  s["status"] = Value("RUNNING");
+  s["site"] = Value("site-a");
+  s["node"] = Value("a-node-03");
+  s["priority"] = Value(std::int64_t{5});
+  s["queue_position"] = Value(std::int64_t{-1});
+  s["progress"] = Value(0.37412345678901234);
+  s["cpu_seconds_used"] = Value(1234.5678901234);
+  s["elapsed_seconds"] = Value(1500.25);
+  s["remaining_seconds"] = Value(2345.6789);
+  s["estimated_runtime_seconds"] = Value(3845.9289);
+  s["submit_time"] = Value(120.0);
+  s["execution_time"] = Value(131.5);
+  s["completion_time"] = Value(-1.0);
+  s["input_bytes"] = Value(std::int64_t{104'857'600});
+  s["output_bytes"] = Value(std::int64_t{0});
+  s["detail"] = Value("");
+  s["environment"] = Value(std::move(env));
+  s["stale"] = Value(false);
+  return Value(std::move(s));
+}
+
+/// Arg 0: encode_response; arg 1: decode_response.
+void BM_XmlRpcJobInfo(benchmark::State& state) {
+  const Value v = job_info_shape();
+  const std::string xml = xmlrpc::encode_response(v);
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      benchmark::DoNotOptimize(xmlrpc::encode_response(v));
+    } else {
+      benchmark::DoNotOptimize(xmlrpc::decode_response(xml));
+    }
+  }
+}
+BENCHMARK(BM_XmlRpcJobInfo)->Arg(0)->Arg(1);
+
+/// An ha.append call shipping one ~330-byte jobmon WAL frame, hex-encoded as
+/// ha::RpcShipperTransport sends it. Arg 0: encode_call; arg 1: decode_call.
+void BM_XmlRpcHaAppend(benchmark::State& state) {
+  std::string hex;
+  for (int i = 0; i < 330; ++i) {
+    static const char kDigits[] = "0123456789abcdef";
+    hex.push_back(kDigits[(i * 7) % 16]);
+    hex.push_back(kDigits[(i * 13) % 16]);
+  }
+  const Array params{Value("jobmon"),         Value(std::int64_t{1}),
+                     Value(std::int64_t{41}), Value(std::int64_t{1}),
+                     Value(hex),              Value(std::int64_t{3'735'928'559}),
+                     Value("127.0.0.1"),      Value(std::int64_t{40'123})};
+  const std::string xml = xmlrpc::encode_call("ha.append", params);
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      benchmark::DoNotOptimize(xmlrpc::encode_call("ha.append", params));
+    } else {
+      benchmark::DoNotOptimize(xmlrpc::decode_call(xml));
+    }
+  }
+}
+BENCHMARK(BM_XmlRpcHaAppend)->Arg(0)->Arg(1);
+
 void BM_JsonEncode(benchmark::State& state) {
   const Value v = sample_struct(static_cast<int>(state.range(0)));
   for (auto _ : state) {

@@ -273,25 +273,47 @@ WalReadResult Wal::decode(const std::string& bytes) {
 
 Status Wal::append(const std::string& payload) {
   if (!storage_) return failed_precondition_error("wal has no storage");
-  const Status s = storage_->append(encode_frame(WalRecord::Type::kRecord, payload));
-  if (s.is_ok()) ++appends_;
+  const std::string frame = encode_frame(WalRecord::Type::kRecord, payload);
+  const Status s = storage_->append(frame);
+  if (s.is_ok()) {
+    ++appends_;
+    bytes_since_snapshot_ += frame.size();
+  }
   return s;
 }
 
 Status Wal::write_snapshot(const std::string& payload) {
   if (!storage_) return failed_precondition_error("wal has no storage");
-  const Status s = storage_->replace(encode_frame(WalRecord::Type::kSnapshot, payload));
-  if (s.is_ok()) ++snapshots_;
+  const std::string frame = encode_frame(WalRecord::Type::kSnapshot, payload);
+  const Status s = storage_->replace(frame);
+  if (s.is_ok()) {
+    ++snapshots_;
+    snapshot_bytes_ = frame.size();
+    bytes_since_snapshot_ = 0;
+  }
   return s;
 }
 
-Result<WalReadResult> Wal::read() const { return recover(nullptr); }
+Result<WalReadResult> Wal::read() const {
+  if (!storage_) return failed_precondition_error("wal has no storage");
+  auto bytes = storage_->read_all();
+  if (!bytes.is_ok()) return bytes.status();
+  return decode(bytes.value());
+}
 
-Result<WalReadResult> Wal::recover(RecoverStats* stats) const {
+Result<WalReadResult> Wal::recover(RecoverStats* stats) {
   if (!storage_) return failed_precondition_error("wal has no storage");
   auto bytes = storage_->read_all();
   if (!bytes.is_ok()) return bytes.status();
   WalReadResult result = decode(bytes.value());
+  const std::size_t snap = result.snapshot_index();
+  snapshot_bytes_ = 0;
+  bytes_since_snapshot_ = 0;
+  for (std::size_t i = 0; i < result.records.size(); ++i) {
+    const std::uint64_t frame = kHeaderBytes + result.records[i].payload.size();
+    if (i == snap) snapshot_bytes_ = frame;
+    if (snap == WalReadResult::npos || i > snap) bytes_since_snapshot_ += frame;
+  }
   if (stats) {
     stats->frames_kept = result.records.size();
     stats->corrupt_frames = result.corrupt ? 1 : 0;

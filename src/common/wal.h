@@ -167,8 +167,9 @@ class Wal {
 
   /// read() plus an accounting of what was dropped: fills `stats` (when
   /// non-null) with the kept/truncated breakdown so recovery paths can
-  /// surface damage instead of swallowing it.
-  Result<WalReadResult> recover(RecoverStats* stats) const;
+  /// surface damage instead of swallowing it. Also seeds
+  /// bytes_since_snapshot() and snapshot_bytes() from the valid prefix.
+  Result<WalReadResult> recover(RecoverStats* stats);
 
   /// Frames a record the way append() does (exposed for tests).
   static std::string encode_frame(WalRecord::Type type, const std::string& payload);
@@ -177,11 +178,18 @@ class Wal {
 
   std::uint64_t appends() const { return appends_; }
   std::uint64_t snapshots() const { return snapshots_; }
+  /// Framed bytes appended since the last snapshot (since the log began
+  /// when it has none) — the tail a compaction would fold away.
+  std::uint64_t bytes_since_snapshot() const { return bytes_since_snapshot_; }
+  /// Framed size of the last snapshot, 0 when there is none.
+  std::uint64_t snapshot_bytes() const { return snapshot_bytes_; }
 
  private:
   WalStorage* storage_;
   std::uint64_t appends_ = 0;
   std::uint64_t snapshots_ = 0;
+  std::uint64_t bytes_since_snapshot_ = 0;
+  std::uint64_t snapshot_bytes_ = 0;
 };
 
 }  // namespace gae

@@ -266,6 +266,7 @@ Status LogShipper::resync_locked(Standby& standby) {
   auto ack = standby.transport->snapshot(snap);
   if (!ack.is_ok()) return ack.status();
   standby.acked_seq = ack.value().next_seq;
+  standby.missed_snapshot = false;
   ++stats_.snapshots_shipped;
   ++stats_.resyncs;
   return Status::ok();
@@ -274,8 +275,11 @@ Status LogShipper::resync_locked(Standby& standby) {
 Status LogShipper::ship_to_locked(Standby& standby) {
   if (standby.acked_seq >= next_seq_) return Status::ok();
   // Frames the standby needs that have already been trimmed (it joined or
-  // fell behind past the retention window) force a full resync.
-  if (standby.acked_seq < frames_base_seq_) return resync_locked(standby);
+  // fell behind past the retention window), or a snapshot it missed, force a
+  // full resync.
+  if (standby.acked_seq < frames_base_seq_ || standby.missed_snapshot) {
+    return resync_locked(standby);
+  }
 
   AppendBatch batch;
   batch.stream = stream_;
@@ -382,9 +386,11 @@ Status LogShipper::ship_replace(const std::string& log_bytes) {
       auto ack = standby.transport->snapshot(snap);
       if (ack.is_ok()) {
         standby.acked_seq = ack.value().next_seq;
+        standby.missed_snapshot = false;
         ++stats_.snapshots_shipped;
         continue;
       }
+      standby.missed_snapshot = true;
       ++stats_.ship_failures;
       if (failures_counter_) failures_counter_->inc();
       if (ack.status().code() == StatusCode::kNotPrimary) deposed_ = true;

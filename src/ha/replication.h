@@ -224,6 +224,9 @@ class LogShipper {
   struct Standby {
     ShipperTransport* transport = nullptr;
     std::uint64_t acked_seq = 0;
+    /// A snapshot install failed: the standby's log no longer shares the
+    /// primary's base, so its next shipment is a full-log resync.
+    bool missed_snapshot = false;
   };
 
   /// Ships pending frames to every lagging standby. Lock held.

@@ -1,5 +1,6 @@
 #include "jobmon/db_manager.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -164,6 +165,8 @@ void DBManager::update(const std::string& task_id, const exec::TaskInfo& info,
     if (!s.is_ok()) {
       GAE_LOG_WARN << "jobmon wal append failed for " << task_id << ": " << s.message();
       if (health_) health_->mark_read_only("wal append failed: " + s.message());
+    } else {
+      compact_if_due();
     }
   }
 
@@ -209,6 +212,22 @@ Status DBManager::save_snapshot() {
   return wal_->write_snapshot(export_state());
 }
 
+void DBManager::compact_if_due() {
+  const std::uint64_t bound =
+      kCompactRatio * std::max(wal_->snapshot_bytes(), kCompactMinSnapshotBytes);
+  const std::uint64_t tail = wal_->bytes_since_snapshot();
+  if (tail <= std::max(bound, retry_tail_bytes_)) return;
+  const Status s = save_snapshot();
+  if (s.is_ok()) {
+    retry_tail_bytes_ = 0;
+    return;
+  }
+  // The records are journaled; only the compaction failed. A standby that
+  // missed the snapshot is healed by the shipper's gap resync.
+  GAE_LOG_WARN << "jobmon wal compaction failed: " << s.message();
+  retry_tail_bytes_ = tail + bound;
+}
+
 Status DBManager::recover() {
   if (!wal_) return failed_precondition_error("jobmon db has no wal");
   RecoverStats stats;
@@ -242,6 +261,7 @@ Status DBManager::recover() {
                  << recovered.size() << " records)";
   }
   records_ = std::move(recovered);
+  retry_tail_bytes_ = 0;
   return Status::ok();
 }
 

@@ -5,9 +5,13 @@
 // With a Wal attached the repository is crash-consistent, BOSS-style: every
 // update is appended to the log before it lands in memory, save_snapshot()
 // compacts the log, and recover() rebuilds the exact pre-crash view
-// (snapshot fold + tail replay) on a restarted instance.
+// (snapshot fold + tail replay) on a restarted instance. update() compacts
+// by itself once the tail outgrows kCompactRatio × the last snapshot (at
+// least kCompactMinSnapshotBytes), so the log stays within a constant factor
+// of the repository however many updates it takes.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -34,6 +38,11 @@ Result<std::pair<std::string, JobRecord>> decode_job_record(const std::string& l
 
 class DBManager {
  public:
+  /// update() compacts once the WAL tail exceeds
+  /// kCompactRatio × max(last snapshot, kCompactMinSnapshotBytes).
+  static constexpr std::uint64_t kCompactRatio = 4;
+  static constexpr std::uint64_t kCompactMinSnapshotBytes = 16 * 1024;
+
   /// `monitoring` may be null (no MonALISA publishing); `wal` may be null
   /// (in-memory only, the historical behaviour).
   explicit DBManager(monalisa::Repository* monitoring, Wal* wal = nullptr)
@@ -49,6 +58,9 @@ class DBManager {
   /// Inserts or refreshes a record, journals the update, and publishes the
   /// state to MonALISA. Dropped (with a log line) while the store is not
   /// writable — an un-journalable update must not fork memory from disk.
+  /// After a journaled update it compacts the WAL when the tail is over the
+  /// bound; a failed compaction is logged, leaves the store writable, and
+  /// is retried once the tail has grown by another bound.
   void update(const std::string& task_id, const exec::TaskInfo& info,
               const std::string& site, SimTime now);
 
@@ -76,10 +88,14 @@ class DBManager {
   std::string export_state() const;
 
  private:
+  void compact_if_due();
+
   monalisa::Repository* monitoring_;
   Wal* wal_;
   storage::StoreHealth* health_ = nullptr;
   std::map<std::string, JobRecord> records_;
+  /// Tail size at which to retry after a failed compaction (0: none failed).
+  std::uint64_t retry_tail_bytes_ = 0;
 };
 
 }  // namespace gae::jobmon

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <mutex>
+#include <utility>
 
 #include "rpc/deadline.h"
 #include "telemetry/instrument.h"
@@ -86,10 +87,12 @@ void register_jobmon_methods(clarens::ClarensHost& host, JobMonitoringService& s
   const std::int64_t staleness_us = static_cast<std::int64_t>(staleness_ms) * 1000;
   telemetry::Counter* cached_counter =
       metrics ? &metrics->counter("jobmon.brownout_cached") : nullptr;
-  // Refreshes the snapshot if it has gone stale and returns a copy of it
-  // (copied under the lock; only the brownout path pays this).
-  auto snapshot = [snapshot_cache, &service, staleness_us,
-                   cached_counter]() -> std::map<std::string, JobMonitorReport> {
+  // Refreshes the snapshot if it has gone stale, then hands it to `read`
+  // under the lock (only the brownout path pays this). A read looks up or
+  // walks the reports in place: copying the whole map would make each
+  // request O(jobs) exactly while the host is overloaded.
+  auto with_snapshot = [snapshot_cache, &service, staleness_us,
+                        cached_counter](const auto& read) {
     std::lock_guard<std::mutex> lock(snapshot_cache->mutex);
     const std::int64_t now = rpc::steady_now_us();
     if (!snapshot_cache->valid || now - snapshot_cache->refreshed_at_us > staleness_us) {
@@ -102,13 +105,13 @@ void register_jobmon_methods(clarens::ClarensHost& host, JobMonitoringService& s
       snapshot_cache->valid = true;
     }
     if (cached_counter) cached_counter->inc();
-    return snapshot_cache->reports;
+    return read(std::as_const(snapshot_cache->reports));
   };
 
   d.register_method(
       "jobmon.info",
-      [&service, admission, snapshot, cache](const Array& params,
-                                             const CallContext&) -> Result<Value> {
+      [&service, admission, with_snapshot, cache](const Array& params,
+                                                  const CallContext&) -> Result<Value> {
         auto id = task_id_param(params, "jobmon.info");
         if (!id.is_ok()) return id.status();
         const bool browned = admission && admission->browned_out();
@@ -117,35 +120,36 @@ void register_jobmon_methods(clarens::ClarensHost& host, JobMonitoringService& s
           if (auto hit = cache->get(key, browned)) return std::move(*hit);
         }
         if (browned) {
-          auto reports = snapshot();
-          auto it = reports.find(id.value());
-          if (it == reports.end()) {
-            return not_found_error("no such task in snapshot: " + id.value());
-          }
-          Struct out = report_to_value(it->second).as_struct();
-          out["stale"] = Value(true);
-          Value v(std::move(out));
-          if (cache) cache->put(key, v);
+          Result<Value> v = with_snapshot([&id](const auto& reports) -> Result<Value> {
+            auto it = reports.find(id.value());
+            if (it == reports.end()) {
+              return not_found_error("no such task in snapshot: " + id.value());
+            }
+            Value out = report_to_value(it->second);
+            out.as_struct()["stale"] = Value(true);
+            return out;
+          });
+          if (cache && v.is_ok()) cache->put(key, v.value());
           return v;
         }
         auto report = service.info(id.value());
         if (!report.is_ok()) return report.status();
-        Struct out = report_to_value(report.value()).as_struct();
+        Value out = report_to_value(report.value());
         if (cache) {
           // The cached copy is flagged stale up front: by the time it is
           // served again it is, by definition, at least one read old.
-          Struct flagged = out;
-          flagged["stale"] = Value(true);
-          cache->put(key, Value(std::move(flagged)));
+          Value flagged = out;
+          flagged.as_struct()["stale"] = Value(true);
+          cache->put(key, std::move(flagged));
         }
-        out["stale"] = Value(false);
-        return Value(std::move(out));
+        out.as_struct()["stale"] = Value(false);
+        return out;
       });
 
   d.register_method(
       "jobmon.status",
-      [&service, admission, snapshot, cache](const Array& params,
-                                             const CallContext&) -> Result<Value> {
+      [&service, admission, with_snapshot, cache](const Array& params,
+                                                  const CallContext&) -> Result<Value> {
         auto id = task_id_param(params, "jobmon.status");
         if (!id.is_ok()) return id.status();
         const bool browned = admission && admission->browned_out();
@@ -154,13 +158,14 @@ void register_jobmon_methods(clarens::ClarensHost& host, JobMonitoringService& s
           if (auto hit = cache->get(key, browned)) return std::move(*hit);
         }
         if (browned) {
-          auto reports = snapshot();
-          auto it = reports.find(id.value());
-          if (it == reports.end()) {
-            return not_found_error("no such task in snapshot: " + id.value());
-          }
-          Value v(std::string(exec::task_state_name(it->second.info.state)));
-          if (cache) cache->put(key, v);
+          Result<Value> v = with_snapshot([&id](const auto& reports) -> Result<Value> {
+            auto it = reports.find(id.value());
+            if (it == reports.end()) {
+              return not_found_error("no such task in snapshot: " + id.value());
+            }
+            return Value(std::string(exec::task_state_name(it->second.info.state)));
+          });
+          if (cache && v.is_ok()) cache->put(key, v.value());
           return v;
         }
         auto s = service.status(id.value());
@@ -248,19 +253,21 @@ void register_jobmon_methods(clarens::ClarensHost& host, JobMonitoringService& s
 
   d.register_method(
       "jobmon.list",
-      [&service, admission, snapshot, cache](const Array&,
-                                             const CallContext&) -> Result<Value> {
+      [&service, admission, with_snapshot, cache](const Array&,
+                                                  const CallContext&) -> Result<Value> {
         const bool browned = admission && admission->browned_out();
         if (cache) {
           if (auto hit = cache->get(ReadCache::kListKey, browned)) return std::move(*hit);
         }
         Array out;
         if (browned) {
-          for (const auto& [id, report] : snapshot()) {
-            Struct s = report_to_value(report).as_struct();
-            s["stale"] = Value(true);
-            out.emplace_back(std::move(s));
-          }
+          with_snapshot([&out](const auto& reports) {
+            out.reserve(reports.size());
+            for (const auto& [id, report] : reports) {
+              out.push_back(report_to_value(report));
+              out.back().as_struct()["stale"] = Value(true);
+            }
+          });
           Value v(std::move(out));
           if (cache) cache->put(ReadCache::kListKey, v);
           return v;

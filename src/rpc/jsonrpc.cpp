@@ -236,25 +236,35 @@ class JsonParser {
     return err("unterminated string");
   }
 
+  /// Enters one array or object; false past kMaxDecodeDepth.
+  bool descend() { return ++depth_ <= kMaxDecodeDepth; }
+  /// Leaves it again with its value.
+  Value ascend(Value v) {
+    --depth_;
+    return v;
+  }
+
   Result<Value> parse_array() {
     consume('[');
+    if (!descend()) return err("nesting deeper than " + std::to_string(kMaxDecodeDepth));
     Array arr;
     skip_ws();
-    if (consume(']')) return Value(std::move(arr));
+    if (consume(']')) return ascend(Value(std::move(arr)));
     for (;;) {
       auto v = parse_value();
       if (!v.is_ok()) return v;
       arr.push_back(std::move(v).value());
-      if (consume(']')) return Value(std::move(arr));
+      if (consume(']')) return ascend(Value(std::move(arr)));
       if (!consume(',')) return err("expected ',' or ']'");
     }
   }
 
   Result<Value> parse_object() {
     consume('{');
+    if (!descend()) return err("nesting deeper than " + std::to_string(kMaxDecodeDepth));
     Struct obj;
     skip_ws();
-    if (consume('}')) return Value(std::move(obj));
+    if (consume('}')) return ascend(Value(std::move(obj)));
     for (;;) {
       skip_ws();
       auto k = parse_string();
@@ -263,13 +273,14 @@ class JsonParser {
       auto v = parse_value();
       if (!v.is_ok()) return v;
       obj[std::move(k).value()] = std::move(v).value();
-      if (consume('}')) return Value(std::move(obj));
+      if (consume('}')) return ascend(Value(std::move(obj)));
       if (!consume(',')) return err("expected ',' or '}'");
     }
   }
 
   const std::string& in_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace
@@ -314,15 +325,34 @@ std::string encode_fault(int code, const std::string& message, std::int64_t id) 
   return json::encode(Value(std::move(msg)));
 }
 
+namespace {
+
+/// The message's integer id (0 when absent). String and other ids are
+/// INVALID_ARGUMENT: this host only mints and answers integer ids.
+Result<std::int64_t> message_id(const Value& message) {
+  const Value* id = message.find("id");
+  if (!id) return std::int64_t{0};
+  if (!id->is_int()) return invalid_argument_error("jsonrpc: id must be an integer");
+  return id->as_int();
+}
+
+}  // namespace
+
 Result<Call> decode_call(const std::string& text) {
   auto parsed = json::decode(text);
   if (!parsed.is_ok()) return parsed.status();
   const Value v = std::move(parsed).value();
   if (!v.is_struct()) return invalid_argument_error("jsonrpc: request must be an object");
+  const Value* method = v.find("method");
+  if (method && !method->is_string()) {
+    return invalid_argument_error("jsonrpc: method must be a string");
+  }
   Call call;
-  call.method = v.get_string("method", "");
+  if (method) call.method = method->as_string();
   if (call.method.empty()) return invalid_argument_error("jsonrpc: missing method");
-  call.id = v.get_int("id", 0);
+  auto id = message_id(v);
+  if (!id.is_ok()) return id.status();
+  call.id = id.value();
   if (v.has("params")) {
     const Value& p = v.at("params");
     if (!p.is_array()) return invalid_argument_error("jsonrpc: params must be an array");
@@ -336,13 +366,20 @@ Result<Response> decode_response(const std::string& text) {
   if (!parsed.is_ok()) return parsed.status();
   const Value v = std::move(parsed).value();
   if (!v.is_struct()) return invalid_argument_error("jsonrpc: response must be an object");
+  auto id = message_id(v);
+  if (!id.is_ok()) return id.status();
   Response resp;
-  resp.id = v.get_int("id", 0);
+  resp.id = id.value();
   if (v.has("error") && !v.at("error").is_nil()) {
     const Value& e = v.at("error");
+    const Value* code = e.find("code");
+    const Value* message = e.find("message");
+    if (!e.is_struct() || (code && !code->is_int()) || (message && !message->is_string())) {
+      return invalid_argument_error("jsonrpc: malformed error " + e.debug_string());
+    }
     resp.is_fault = true;
-    resp.fault_code = static_cast<int>(e.get_int("code", 0));
-    resp.fault_string = e.get_string("message", "");
+    resp.fault_code = code ? static_cast<int>(code->as_int()) : 0;
+    resp.fault_string = message ? message->as_string() : std::string();
     return resp;
   }
   if (!v.has("result")) return invalid_argument_error("jsonrpc: response missing result");

@@ -79,6 +79,13 @@ const Value& Value::at(const std::string& key) const {
   return it->second;
 }
 
+const Value* Value::find(const std::string& key) const {
+  const auto* s = std::get_if<Struct>(&data_);
+  if (!s) return nullptr;
+  auto it = s->find(key);
+  return it == s->end() ? nullptr : &it->second;
+}
+
 std::int64_t Value::get_int(const std::string& key, std::int64_t fallback) const {
   const Struct& s = as_struct();
   auto it = s.find(key);

@@ -20,6 +20,12 @@ class Value;
 using Array = std::vector<Value>;
 using Struct = std::map<std::string, Value>;
 
+/// Deepest nesting either codec decodes: JSON arrays and objects, XML
+/// elements. Both decoders recurse, and a body may be as large as
+/// ConnectionOptions::max_body_bytes, so a deeper body is refused with
+/// INVALID_ARGUMENT instead of overflowing the stack.
+constexpr int kMaxDecodeDepth = 256;
+
 /// A dynamically typed RPC value.
 class Value {
  public:
@@ -65,6 +71,9 @@ class Value {
   bool has(const std::string& key) const;
   /// Throws std::runtime_error when missing.
   const Value& at(const std::string& key) const;
+  /// The member `key`, or null when this is not a struct or has no such
+  /// member. Never throws, so codecs can type-check untrusted input.
+  const Value* find(const std::string& key) const;
   /// Fallback helpers for optional struct members.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;

@@ -110,6 +110,86 @@ TEST(Replication, SnapshotCompactionShipsToStandby) {
   EXPECT_GE(shipper.stats().snapshots_shipped, 1u);
 }
 
+TEST(Replication, AutomaticCompactionKeepsStandbyByteEqual) {
+  MemoryWalStorage primary_store, standby_store;
+  StandbyReplica replica("jobmon", &standby_store);
+  LocalShipperTransport transport(&replica);
+  LogShipper shipper("jobmon", {});
+  shipper.add_standby(&transport);
+  shipper.set_epoch(1);
+  ReplicatedWalStorage replicated(&primary_store, &shipper);
+  Wal wal(&replicated);
+  jobmon::DBManager primary(nullptr, &wal);
+
+  std::uint64_t compactions_seen = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const std::string id = "t" + std::to_string(i % 64);
+    primary.update(id, make_task(id, 0.001 * i), "site-a", from_seconds(i));
+    if (wal.snapshots() != compactions_seen) {
+      compactions_seen = wal.snapshots();
+      ASSERT_EQ(standby_store.bytes(), primary_store.bytes()) << "after update " << i;
+    }
+  }
+  EXPECT_GE(compactions_seen, 2u);
+  EXPECT_EQ(shipper.stats().snapshots_shipped, compactions_seen);
+  EXPECT_EQ(standby_store.bytes(), primary_store.bytes());
+}
+
+/// Delivers to a replica, but refuses snapshot installs while `down`.
+class SnapshotDroppingTransport final : public ha::ShipperTransport {
+ public:
+  explicit SnapshotDroppingTransport(StandbyReplica* replica) : local_(replica) {}
+
+  Result<ha::ReplicaAck> append(const AppendBatch& batch) override {
+    return local_.append(batch);
+  }
+  Result<ha::ReplicaAck> snapshot(const ha::SnapshotInstall& snap) override {
+    if (down) return unavailable_error("standby unreachable");
+    return local_.snapshot(snap);
+  }
+  Result<ha::ReplicaAck> status(const std::string& stream) override {
+    return local_.status(stream);
+  }
+
+  bool down = false;
+
+ private:
+  LocalShipperTransport local_;
+};
+
+TEST(Replication, StandbyThatMissedACompactionResyncs) {
+  MemoryWalStorage primary_store, standby_store;
+  StandbyReplica replica("jobmon", &standby_store);
+  SnapshotDroppingTransport transport(&replica);
+  LogShipper shipper("jobmon", {});
+  shipper.add_standby(&transport);
+  shipper.set_epoch(1);
+  ReplicatedWalStorage replicated(&primary_store, &shipper);
+  Wal wal(&replicated);
+  jobmon::DBManager primary(nullptr, &wal);
+
+  // The first compaction happens while the standby cannot take it.
+  transport.down = true;
+  int i = 0;
+  for (; primary_store.bytes().size() >= standby_store.bytes().size(); ++i) {
+    ASSERT_LT(i, 10'000) << "no compaction happened";
+    const std::string id = "t" + std::to_string(i % 64);
+    primary.update(id, make_task(id, 0.001 * i), "site-a", from_seconds(i));
+  }
+  EXPECT_EQ(wal.snapshots(), 0u) << "the failed ship fails the compaction";
+  EXPECT_GE(shipper.stats().ship_failures, 1u);
+
+  // Back up: the next append finds the gap and installs the full log.
+  transport.down = false;
+  primary.update("t0", make_task("t0", 0.5), "site-a", from_seconds(i));
+  EXPECT_EQ(standby_store.bytes(), primary_store.bytes());
+  EXPECT_GE(shipper.stats().resyncs, 1u);
+  Wal standby_wal(&standby_store);
+  jobmon::DBManager promoted(nullptr, &standby_wal);
+  ASSERT_TRUE(promoted.recover().is_ok());
+  EXPECT_EQ(promoted.export_state(), primary.export_state());
+}
+
 TEST(Replication, AsyncModeBuffersUntilFlush) {
   MemoryWalStorage primary_store, standby_store;
   StandbyReplica replica("est", &standby_store);

@@ -105,10 +105,16 @@ class HostConformance : public ::testing::Test {
   /// Sends one call and reads its answer off the same connection.
   static Reply call(rpc::Stream& stream, bool json, const std::string& method,
                     const rpc::Array& params) {
+    return send(stream, json,
+                json ? rpc::jsonrpc::encode_call(method, params, 1)
+                     : rpc::xmlrpc::encode_call(method, params));
+  }
+
+  /// Sends `body` as one request and reads its answer.
+  static Reply send(rpc::Stream& stream, bool json, std::string body) {
     rpc::http::Request req;
     req.headers["content-type"] = json ? "application/json" : "text/xml";
-    req.body = json ? rpc::jsonrpc::encode_call(method, params, 1)
-                    : rpc::xmlrpc::encode_call(method, params);
+    req.body = std::move(body);
     Reply reply;
     EXPECT_TRUE(rpc::http::write_request(stream, req).is_ok());
     auto resp = rpc::http::read_response(stream);
@@ -132,6 +138,19 @@ class HostConformance : public ::testing::Test {
       reply.result = decoded.value().result;
     }
     return reply;
+  }
+
+  /// Sends `body`, expects an INVALID_ARGUMENT fault, then checks that the
+  /// same connection still serves a call.
+  static void expect_fault_then_served(rpc::Stream& conn, bool json, std::string body) {
+    const Reply bad = send(conn, json, std::move(body));
+    EXPECT_EQ(bad.status_code, 200);
+    EXPECT_TRUE(bad.is_fault);
+    EXPECT_EQ(rpc::fault_code_to_status(bad.fault_code), StatusCode::kInvalidArgument);
+    const Reply served = call(conn, json, "echo", {rpc::Value("after")});
+    EXPECT_EQ(served.status_code, 200);
+    ASSERT_FALSE(served.is_fault);
+    EXPECT_EQ(served.result.as_string(), "after");
   }
 
   ManualClock clock_;
@@ -196,6 +215,33 @@ TYPED_TEST(HostConformance, HandlerErrorArrivesAsFault) {
     EXPECT_TRUE(reply.is_fault);
     EXPECT_EQ(rpc::fault_code_to_status(reply.fault_code), StatusCode::kFailedPrecondition);
   }
+}
+
+TYPED_TEST(HostConformance, WrongTypedJsonRequestGetsFault) {
+  // The JSON decoder used to throw on these outside any handler's try, which
+  // ended the whole server process.
+  auto conn = this->connect();
+  ASSERT_NE(conn, nullptr);
+  TestFixture::expect_fault_then_served(*conn, true,
+                                        R"({"jsonrpc":"2.0","method":"echo","id":"abc"})");
+  TestFixture::expect_fault_then_served(*conn, true,
+                                        R"({"jsonrpc":"2.0","method":5,"id":1})");
+}
+
+TYPED_TEST(HostConformance, DeeplyNestedBodyGetsFault) {
+  // 100 k levels used to overflow the decoder's stack, in either codec.
+  constexpr int kDepth = 100'000;
+  auto conn = this->connect();
+  ASSERT_NE(conn, nullptr);
+  std::string xml = "<methodCall><methodName>echo</methodName><params><param>";
+  for (int i = 0; i < kDepth; ++i) xml += "<value><array><data>";
+  for (int i = 0; i < kDepth; ++i) xml += "</data></array></value>";
+  xml += "</param></params></methodCall>";
+  TestFixture::expect_fault_then_served(*conn, false, std::move(xml));
+  TestFixture::expect_fault_then_served(
+      *conn, true,
+      R"({"jsonrpc":"2.0","method":"echo","id":1,"params":)" +
+          std::string(kDepth, '[') + std::string(kDepth, ']') + "}");
 }
 
 }  // namespace

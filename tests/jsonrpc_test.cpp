@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace gae::rpc {
 namespace {
 
@@ -132,6 +134,64 @@ TEST(JsonRpc, ResponseValidation) {
       jsonrpc::decode_response(R"({"jsonrpc":"2.0","result":1,"error":null,"id":1})");
   ASSERT_TRUE(with_null_error.is_ok());
   EXPECT_FALSE(with_null_error.value().is_fault);
+}
+
+TEST(JsonRpc, WrongTypedMembersAreInvalidArgument) {
+  // Each of these used to throw out of the decoder (Value's checked
+  // accessors), ending a server on a bad request and a client on a bad reply.
+  const char* calls[] = {
+      R"({"jsonrpc":"2.0","method":"m","params":[],"id":"abc"})",  // string id
+      R"({"jsonrpc":"2.0","method":"m","params":[],"id":1.5})",
+      R"({"jsonrpc":"2.0","method":"m","params":[],"id":null})",
+      R"({"jsonrpc":"2.0","method":5,"params":[],"id":1})",
+      R"({"jsonrpc":"2.0","method":["m"],"id":1})",
+  };
+  for (const char* text : calls) {
+    auto call = jsonrpc::decode_call(text);
+    ASSERT_FALSE(call.is_ok()) << text;
+    EXPECT_EQ(call.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  const char* responses[] = {
+      R"({"jsonrpc":"2.0","result":1,"id":"abc"})",
+      R"({"jsonrpc":"2.0","error":"boom","id":1})",
+      R"({"jsonrpc":"2.0","error":[1],"id":1})",
+      R"({"jsonrpc":"2.0","error":{"code":"104","message":"x"},"id":1})",
+      R"({"jsonrpc":"2.0","error":{"code":104,"message":7},"id":1})",
+  };
+  for (const char* text : responses) {
+    auto resp = jsonrpc::decode_response(text);
+    ASSERT_FALSE(resp.is_ok()) << text;
+    EXPECT_EQ(resp.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  // Members that are absent still fall back as before.
+  auto bare = jsonrpc::decode_response(R"({"error":{}})");
+  ASSERT_TRUE(bare.is_ok());
+  EXPECT_TRUE(bare.value().is_fault);
+  EXPECT_EQ(bare.value().fault_code, 0);
+  EXPECT_EQ(bare.value().id, 0);
+}
+
+TEST(Json, NestingPastTheCapIsInvalidArgument) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(json::decode(nested(kMaxDecodeDepth)).is_ok());
+  std::string objects;
+  for (int i = 0; i < 100'000; ++i) objects += R"({"a":)";
+  const std::string deep[] = {
+      nested(kMaxDecodeDepth + 1),
+      nested(100'000),
+      std::string(2'000'000, '['),  // unterminated: used to overflow the stack
+      objects,
+  };
+  for (const auto& text : deep) {
+    auto v = json::decode(text);
+    ASSERT_FALSE(v.is_ok());
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
+  }
+  auto call = jsonrpc::decode_call(R"({"method":"m","params":)" + nested(100'000) + "}");
+  EXPECT_FALSE(call.is_ok());
 }
 
 }  // namespace

@@ -121,6 +121,42 @@ TEST_P(CodecFuzzTest, MutatedValidDocumentsNeverCrash) {
   }
 }
 
+TEST_P(CodecFuzzTest, WrongTypedMembersAreRejectedNotThrown) {
+  // Envelope members of random type: a decoder must answer, with a value or
+  // INVALID_ARGUMENT, and never throw out of Value's checked accessors.
+  Rng rng(GetParam() + 5000);
+  const auto expect_clean = [](const auto& decoded, const std::string& text) {
+    if (!decoded.is_ok()) {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << text;
+    }
+  };
+  for (int i = 0; i < 100; ++i) {
+    Struct error{{"code", Value(104)}, {"message", Value("denied")}};
+    Struct msg{{"jsonrpc", Value("2.0")}, {"method", Value("m")}, {"params", Value(Array{})},
+               {"id", Value(1)}, {"result", Value(1)}};
+    Struct fault{{"faultCode", Value(104)}, {"faultString", Value("denied")}};
+    const Value odd = random_value(rng, 1);
+    switch (rng.uniform_int(0, 5)) {
+      case 0: msg["method"] = odd; break;
+      case 1: msg["id"] = odd; break;
+      case 2: error["code"] = odd; fault["faultCode"] = odd; break;
+      case 3: error["message"] = odd; fault["faultString"] = odd; break;
+      default: break;
+    }
+    msg["error"] = rng.bernoulli(0.5) ? odd : Value(error);
+    const Value fault_value = rng.bernoulli(0.3) ? odd : Value(fault);
+
+    const std::string text = json::encode(Value(msg));
+    ASSERT_NO_THROW(expect_clean(jsonrpc::decode_call(text), text));
+    ASSERT_NO_THROW(expect_clean(jsonrpc::decode_response(text), text));
+
+    std::string xml = xmlrpc::encode_response(fault_value);
+    xml.replace(xml.find("<params><param>"), 15, "<fault>");
+    xml.replace(xml.find("</param></params>"), 17, "</fault>");
+    ASSERT_NO_THROW(expect_clean(xmlrpc::decode_response(xml), xml));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzzTest, ::testing::Values(1, 2, 3, 4, 5, 6));
 
 }  // namespace

@@ -5,6 +5,8 @@
 // three adopters (jobmon DBManager, estimator database, task history).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -369,6 +371,67 @@ TEST(DBManagerWal, RecoverRebuildsSnapshotPlusTail) {
   // recover(); recover() is a fixed point.
   ASSERT_TRUE(revived.recover().is_ok());
   EXPECT_EQ(revived.export_state(), pre_crash);
+}
+
+TEST(DBManagerWal, CompactionBoundsTheLog) {
+  MemoryWalStorage storage;
+  Wal wal(&storage);
+  jobmon::DBManager db(nullptr, &wal);
+  std::size_t largest = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    const std::string id = "t" + std::to_string(i % 64);
+    db.update(id, make_info(id, exec::TaskState::kRunning, i % 100), "site-a",
+              from_seconds(i));
+    largest = std::max(largest, storage.bytes().size());
+  }
+  // The log holds one snapshot plus a tail of at most kCompactRatio ×
+  // max(snapshot, floor), and the tail's last frame may overshoot by one.
+  const std::uint64_t bound =
+      wal.snapshot_bytes() +
+      jobmon::DBManager::kCompactRatio *
+          std::max(wal.snapshot_bytes(), jobmon::DBManager::kCompactMinSnapshotBytes);
+  EXPECT_GT(wal.snapshots(), 10u);
+  EXPECT_LE(largest, bound + 1024);
+  EXPECT_EQ(db.size(), 64u);
+}
+
+TEST(DBManagerWal, RecoverAfterCompactionIsByteIdentical) {
+  MemoryWalStorage storage;
+  Wal wal(&storage);
+  jobmon::DBManager db(nullptr, &wal);
+  int i = 0;
+  for (; wal.snapshots() < 2 || wal.bytes_since_snapshot() == 0; ++i) {
+    const std::string id = "t" + std::to_string(i % 64);
+    db.update(id, make_info(id, exec::TaskState::kRunning, i % 100), "site-a",
+              from_seconds(i));
+  }
+  Wal reopened(&storage);
+  jobmon::DBManager revived(nullptr, &reopened);
+  ASSERT_TRUE(revived.recover().is_ok());
+  EXPECT_EQ(revived.export_state(), db.export_state());
+  // recover() seeds the compaction counters from the log it read.
+  EXPECT_EQ(reopened.snapshot_bytes(), wal.snapshot_bytes());
+  EXPECT_EQ(reopened.bytes_since_snapshot(), wal.bytes_since_snapshot());
+}
+
+TEST(WalCounters, TrackTheTailSinceTheLastSnapshot) {
+  MemoryWalStorage storage;
+  Wal wal(&storage);
+  ASSERT_TRUE(wal.append("a").is_ok());
+  ASSERT_TRUE(wal.append("bcd").is_ok());
+  EXPECT_EQ(wal.bytes_since_snapshot(), storage.bytes().size());
+  EXPECT_EQ(wal.snapshot_bytes(), 0u);
+  ASSERT_TRUE(wal.write_snapshot("snapshot").is_ok());
+  EXPECT_EQ(wal.snapshot_bytes(), storage.bytes().size());
+  EXPECT_EQ(wal.bytes_since_snapshot(), 0u);
+  ASSERT_TRUE(wal.append("e").is_ok());
+  const std::uint64_t tail = storage.bytes().size() - wal.snapshot_bytes();
+  EXPECT_EQ(wal.bytes_since_snapshot(), tail);
+
+  Wal reopened(&storage);
+  ASSERT_TRUE(reopened.recover(nullptr).is_ok());
+  EXPECT_EQ(reopened.snapshot_bytes(), wal.snapshot_bytes());
+  EXPECT_EQ(reopened.bytes_since_snapshot(), tail);
 }
 
 TEST(DBManagerWal, RecoverToleratesTornTailAndKeepsPrefixOnCorruption) {
