@@ -11,9 +11,12 @@
 // fixed worker pool, and real client threads hammer jobmon.* methods. The
 // expected shape: flat response time up to roughly the worker count, then a
 // graceful linear-ish rise as connections queue.
+//
+// A failed call counts in the latency columns at the time it took and in the
+// errors column; req/s and the closing total count successful calls only.
+// The exit status is non-zero when any level saw an error.
 #include <atomic>
 #include <cstdio>
-#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -37,7 +40,9 @@ struct Level {
   int clients;
   double mean_ms;
   double p95_ms;
-  double throughput_rps;
+  double throughput_rps;  // successful calls per second
+  int succeeded;
+  int errors;
 };
 
 }  // namespace
@@ -80,7 +85,8 @@ int main(int argc, char** argv) {
   std::printf("Figure 6: Response times for queries to Job Monitoring Service\n");
   std::printf("(loopback TCP, %zu server workers, %d calls/client)\n\n",
               hopts.rpc_workers, calls_per_client);
-  std::printf("%-10s %14s %12s %16s\n", "clients", "avg_ms/req", "p95_ms", "req/s total");
+  std::printf("%-10s %14s %12s %16s %8s\n", "clients", "avg_ms/req", "p95_ms", "ok req/s",
+              "errors");
 
   auto run_level = [&](int clients, rpc::Protocol protocol) {
     std::vector<std::thread> threads;
@@ -98,10 +104,7 @@ int main(int argc, char** argv) {
           auto r = client.call("jobmon.info",
                                {rpc::Value("job-" + std::to_string(k % 10))});
           const auto t1 = std::chrono::steady_clock::now();
-          if (!r.is_ok()) {
-            errors.fetch_add(1);
-            continue;
-          }
+          if (!r.is_ok()) errors.fetch_add(1);
           lats.push_back(
               std::chrono::duration<double, std::milli>(t1 - t0).count());
         }
@@ -114,14 +117,13 @@ int main(int argc, char** argv) {
 
     std::vector<double> all;
     for (auto& v : latencies) all.insert(all.end(), v.begin(), v.end());
-    if (errors.load() > 0) {
-      std::fprintf(stderr, "%d request errors at %d clients\n", errors.load(), clients);
-    }
     Level level;
     level.clients = clients;
     level.mean_ms = mean_of(all);
     level.p95_ms = percentile(all, 95);
-    level.throughput_rps = static_cast<double>(all.size()) / wall_seconds;
+    level.errors = errors.load();
+    level.succeeded = static_cast<int>(all.size()) - level.errors;
+    level.throughput_rps = static_cast<double>(level.succeeded) / wall_seconds;
     return level;
   };
 
@@ -129,33 +131,34 @@ int main(int argc, char** argv) {
   for (int clients : {1, 2, 4, 6, 8, 12, 16, 24, 32, 48}) {
     const Level level = run_level(clients, rpc::Protocol::kXmlRpc);
     results.push_back(level);
-    std::printf("%-10d %14.3f %12.3f %16.0f\n", level.clients, level.mean_ms,
-                level.p95_ms, level.throughput_rps);
+    std::printf("%-10d %14.3f %12.3f %16.0f %8d\n", level.clients, level.mean_ms,
+                level.p95_ms, level.throughput_rps, level.errors);
   }
 
   std::printf("\n-- wire-format comparison (8 clients) --\n");
-  std::printf("%-10s %14s %12s %16s\n", "protocol", "avg_ms/req", "p95_ms",
-              "req/s total");
+  std::printf("%-10s %14s %12s %16s %8s\n", "protocol", "avg_ms/req", "p95_ms", "ok req/s",
+              "errors");
   const Level xml = run_level(8, rpc::Protocol::kXmlRpc);
-  std::printf("%-10s %14.3f %12.3f %16.0f\n", "xmlrpc", xml.mean_ms, xml.p95_ms,
-              xml.throughput_rps);
+  std::printf("%-10s %14.3f %12.3f %16.0f %8d\n", "xmlrpc", xml.mean_ms, xml.p95_ms,
+              xml.throughput_rps, xml.errors);
   const Level json = run_level(8, rpc::Protocol::kJsonRpc);
-  std::printf("%-10s %14.3f %12.3f %16.0f\n", "jsonrpc", json.mean_ms, json.p95_ms,
-              json.throughput_rps);
+  std::printf("%-10s %14.3f %12.3f %16.0f %8d\n", "jsonrpc", json.mean_ms, json.p95_ms,
+              json.throughput_rps, json.errors);
 
   // Shape check for EXPERIMENTS.md: flat region vs saturated region.
   const double flat = results.front().mean_ms;
   const double saturated = results.back().mean_ms;
   std::printf("\nmean latency @1 client: %.3f ms; @%d clients: %.3f ms (%.1fx)\n", flat,
               results.back().clients, saturated, saturated / flat);
-  std::printf("served %llu requests total\n",
-              static_cast<unsigned long long>(
-                  std::accumulate(results.begin(), results.end(), 0ULL,
-                                  [&](unsigned long long acc, const Level& l) {
-                                    return acc + static_cast<unsigned long long>(
-                                                     l.clients) *
-                                                     calls_per_client;
-                                  })));
+  results.push_back(xml);
+  results.push_back(json);
+  long long served = 0;
+  long long failed = 0;
+  for (const Level& level : results) {
+    served += level.succeeded;
+    failed += level.errors;
+  }
+  std::printf("served %lld requests total, %lld failed\n", served, failed);
   host.stop();
-  return 0;
+  return failed == 0 ? 0 : 1;
 }

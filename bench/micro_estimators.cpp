@@ -1,5 +1,6 @@
 // E8 micro-benchmarks: estimator core costs (similarity search, statistical
-// estimate, the brownout fallback, history appends) as history grows.
+// estimate, the brownout fallback, history appends) as history grows, and
+// the queue-wait estimate over a site's queue.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -8,7 +9,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "estimators/queue_time_estimator.h"
 #include "estimators/runtime_estimator.h"
+#include "exec/execution_service.h"
+#include "sim/engine.h"
+#include "sim/grid.h"
 #include "workload/paragon_trace.h"
 #include "workload/task_generator.h"
 
@@ -77,9 +82,11 @@ void BM_EstimateCheap(benchmark::State& state) {
 }
 BENCHMARK(BM_EstimateCheap)->Range(64, 8192)->Complexity(benchmark::oN);
 
-// Similarity search alone (drawn-apart probes, min_matches 3).
+// Similarity search alone (drawn-apart probes, min_matches 3), reading the
+// member lists of the groups an estimator registered with the store.
 void BM_FindSimilar(benchmark::State& state) {
   const Fixture f = make_fixture(static_cast<std::size_t>(state.range(0)), 7);
+  const estimators::RuntimeEstimator estimator(f.store);
   const estimators::SimilarityMatcher matcher;
   std::size_t i = 0;
   double matches = 0;
@@ -104,6 +111,38 @@ void BM_Record(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Record)->Arg(1024);
+
+// One queue-wait estimate at a site holding 48 queued tasks of priorities
+// 0-3, each with a recorded estimate, as in gaebench's estimate_query.
+void BM_QueueTime(benchmark::State& state) {
+  constexpr int kQueued = 48;
+  sim::Simulation sim;
+  sim::Grid grid;
+  grid.add_site("s").add_node("n0", 1.0, nullptr);
+  exec::ExecutionService service(sim, grid, "s");
+  auto db = std::make_shared<estimators::EstimateDatabase>();
+  Rng rng(7);
+  std::vector<std::string> ids;
+  for (int i = 0; i < kQueued; ++i) {
+    exec::TaskSpec spec;
+    spec.id = "s-q" + std::to_string(i);
+    spec.owner = "alice";
+    spec.work_seconds = 1e6;
+    spec.priority = static_cast<int>(rng.uniform_int(0, 3));
+    db->put(spec.id, rng.uniform(60.0, 3600.0));
+    if (!service.submit(spec).is_ok()) {
+      state.SkipWithError("submit failed");
+      return;
+    }
+    ids.push_back(spec.id);
+  }
+  const estimators::QueueTimeEstimator estimator(service, db);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(estimator.estimate(ids[i++ % ids.size()]));
+  }
+}
+BENCHMARK(BM_QueueTime);
 
 void BM_TraceGeneration(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,5 +1,6 @@
 #include "estimators/history.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -48,6 +49,42 @@ Result<HistoryEntry> decode_history_entry(const std::string& line) {
   return entry;
 }
 
+namespace {
+
+/// The group `keys` files `attributes` under: the key values, each
+/// length-prefixed so that no two tuples encode alike. False when an
+/// attribute is missing.
+bool group_key(const std::vector<std::string>& keys,
+               const std::map<std::string, std::string>& attributes, std::string& out) {
+  out.clear();
+  for (const auto& key : keys) {
+    const auto it = attributes.find(key);
+    if (it == attributes.end()) return false;
+    const std::size_t n = it->second.size();
+    out.append(reinterpret_cast<const char*>(&n), sizeof n);
+    out += it->second;
+  }
+  return true;
+}
+
+}  // namespace
+
+TaskHistoryStore& TaskHistoryStore::operator=(const TaskHistoryStore& other) {
+  return *this = TaskHistoryStore(other);
+}
+
+// The templates belong to the estimators built over this store, so they
+// stay, and their groups are rebuilt over `other`'s entries.
+TaskHistoryStore& TaskHistoryStore::operator=(TaskHistoryStore&& other) {
+  if (this == &other) return *this;
+  max_entries_ = other.max_entries_;
+  wal_ = other.wal_;
+  health_ = other.health_;
+  entries_ = std::move(other.entries_);
+  reindex();
+  return *this;
+}
+
 void TaskHistoryStore::add(HistoryEntry entry) {
   if (health_ && !health_->writable()) {
     GAE_LOG_WARN << "history store: dropping sample ("
@@ -66,12 +103,7 @@ void TaskHistoryStore::add(HistoryEntry entry) {
   if (first_seq_ + entries_.size() > std::numeric_limits<HistorySeq>::max()) reindex();
   index_entry(static_cast<HistorySeq>(first_seq_ + entries_.size()), entry);
   entries_.push_back(std::move(entry));
-  if (max_entries_ > 0 && entries_.size() > max_entries_) {
-    const std::size_t drop = entries_.size() - max_entries_;
-    for (std::size_t i = 0; i < drop; ++i) unindex_oldest(entries_[i]);
-    entries_.erase(entries_.begin(), entries_.begin() + static_cast<std::ptrdiff_t>(drop));
-    first_seq_ += static_cast<HistorySeq>(drop);
-  }
+  if (max_entries_ > 0 && entries_.size() > max_entries_) trim(entries_.size() - max_entries_);
 }
 
 void TaskHistoryStore::clear() {
@@ -79,45 +111,124 @@ void TaskHistoryStore::clear() {
   reindex();
 }
 
-std::span<const HistorySeq> TaskHistoryStore::postings(const std::string& key,
-                                                       const std::string& value) const {
-  const auto k = index_.find(key);
-  if (k == index_.end()) return {};
-  const auto v = k->second.find(value);
-  if (v == k->second.end()) return {};
-  return v->second.view();
+TemplateId TaskHistoryStore::register_template(const std::vector<std::string>& keys,
+                                               const std::string& regress_on) {
+  for (TemplateId id = 0; id < templates_.size(); ++id) {
+    if (templates_[id].keys == keys && templates_[id].regress_on == regress_on) return id;
+  }
+  Template& tmpl = templates_.emplace_back(Template{keys, regress_on, {}});
+  std::string key;
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (entries_[i].successful) {
+      index_into(tmpl, static_cast<HistorySeq>(first_seq_ + i), entries_[i], key);
+    }
+  }
+  return templates_.size() - 1;
 }
 
-void TaskHistoryStore::Postings::pop_front() {
+std::optional<TemplateId> TaskHistoryStore::find_template(
+    const std::vector<std::string>& keys) const {
+  for (TemplateId id = 0; id < templates_.size(); ++id) {
+    if (templates_[id].keys == keys) return id;
+  }
+  return std::nullopt;
+}
+
+const TaskHistoryStore::Group* TaskHistoryStore::group(
+    TemplateId id, const std::map<std::string, std::string>& attributes,
+    std::string& key) const {
+  const Template& tmpl = templates_[id];
+  if (!group_key(tmpl.keys, attributes, key)) return nullptr;
+  const auto it = tmpl.groups.find(key);
+  return it == tmpl.groups.end() ? nullptr : &it->second;
+}
+
+void TaskHistoryStore::SeqList::pop_front() {
   if (++head * 2 >= seqs.size()) {
     seqs.erase(seqs.begin(), seqs.begin() + static_cast<std::ptrdiff_t>(head));
     head = 0;
   }
 }
 
-void TaskHistoryStore::index_entry(HistorySeq seq, const HistoryEntry& entry) {
-  if (!entry.successful) return;
-  successful_.seqs.push_back(seq);
-  for (const auto& [key, value] : entry.attributes) index_[key][value].seqs.push_back(seq);
+namespace {
+
+/// Folds one member into a group's accumulators, as the loop over members
+/// that the group stands for would.
+void fold(RunningStats& runtimes, LinearRegression& fit, const std::string* regress_on,
+          const HistoryEntry& entry) {
+  runtimes.add(entry.runtime_seconds);
+  if (!regress_on) return;
+  const auto x = entry.attributes.find(*regress_on);
+  if (x == entry.attributes.end()) return;
+  try {
+    fit.add(std::stod(x->second), entry.runtime_seconds);
+  } catch (...) {
+    // a non-numeric value stays out of the regression
+  }
 }
 
-// `entry` is the oldest one left, so its position heads every list it is on.
-void TaskHistoryStore::unindex_oldest(const HistoryEntry& entry) {
+}  // namespace
+
+void TaskHistoryStore::index_entry(HistorySeq seq, const HistoryEntry& entry) {
   if (!entry.successful) return;
-  successful_.pop_front();
-  for (const auto& [key, value] : entry.attributes) {
-    const auto k = index_.find(key);
-    const auto v = k->second.find(value);
-    v->second.pop_front();
-    if (!v->second.empty()) continue;
-    k->second.erase(v);
-    if (k->second.empty()) index_.erase(k);
+  successful_.members_.seqs.push_back(seq);
+  fold(successful_.runtimes_, successful_.fit_, nullptr, entry);
+  std::string key;
+  for (Template& tmpl : templates_) index_into(tmpl, seq, entry, key);
+}
+
+void TaskHistoryStore::index_into(Template& tmpl, HistorySeq seq, const HistoryEntry& entry,
+                                  std::string& key) {
+  if (!group_key(tmpl.keys, entry.attributes, key)) return;
+  Group& group = tmpl.groups[key];
+  group.members_.seqs.push_back(seq);
+  fold(group.runtimes_, group.fit_, &tmpl.regress_on, entry);
+}
+
+// A Welford accumulator cannot take a sample back out, so every group that
+// loses a member is folded again from the members it keeps, oldest first.
+void TaskHistoryStore::trim(std::size_t drop) {
+  std::vector<std::pair<Template*, std::string>> touched;
+  bool any_successful = false;
+  std::string key;
+  for (std::size_t i = 0; i < drop; ++i) {
+    const HistoryEntry& entry = entries_[i];
+    if (!entry.successful) continue;
+    // The oldest entry left heads every member list it is on.
+    successful_.members_.pop_front();
+    any_successful = true;
+    for (Template& tmpl : templates_) {
+      if (!group_key(tmpl.keys, entry.attributes, key)) continue;
+      tmpl.groups.find(key)->second.members_.pop_front();
+      const std::pair<Template*, std::string> at{&tmpl, key};
+      if (std::find(touched.begin(), touched.end(), at) == touched.end()) touched.push_back(at);
+    }
+  }
+  entries_.erase(entries_.begin(), entries_.begin() + static_cast<std::ptrdiff_t>(drop));
+  first_seq_ += static_cast<HistorySeq>(drop);
+
+  if (any_successful) refold(successful_, nullptr);
+  for (const auto& [tmpl, at] : touched) {
+    const auto it = tmpl->groups.find(at);
+    if (it->second.members_.empty()) {
+      tmpl->groups.erase(it);
+    } else {
+      refold(it->second, &tmpl->regress_on);
+    }
+  }
+}
+
+void TaskHistoryStore::refold(Group& group, const std::string* regress_on) {
+  group.runtimes_ = {};
+  group.fit_ = {};
+  for (const HistorySeq seq : group.members()) {
+    fold(group.runtimes_, group.fit_, regress_on, at(seq));
   }
 }
 
 void TaskHistoryStore::reindex() {
-  index_.clear();
   successful_ = {};
+  for (Template& tmpl : templates_) tmpl.groups.clear();
   first_seq_ = 0;
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     index_entry(static_cast<HistorySeq>(i), entries_[i]);
@@ -147,7 +258,8 @@ Status TaskHistoryStore::recover() {
   const WalReadResult& log = read.value();
 
   // Replay into a detached store so a mid-replay failure leaves this one
-  // untouched, then adopt the result (add() applies max_entries trimming).
+  // untouched, then adopt the result (add() applies max_entries trimming);
+  // the assignment groups it under this store's templates.
   TaskHistoryStore recovered(max_entries_);
   auto apply = [&recovered](const std::string& line) -> Status {
     auto entry = decode_history_entry(line);

@@ -7,11 +7,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/stats.h"
 #include "common/status.h"
 #include "common/time_types.h"
 #include "common/wal.h"
@@ -33,13 +35,64 @@ struct HistoryEntry {
 /// the order add() saw them, and trimming does not renumber the survivors.
 using HistorySeq = std::uint32_t;
 
-/// The store keeps an inverted index over its successful entries, so that
-/// similarity search reads only the entries that share an attribute value
-/// with the query instead of scanning the whole history.
+/// Names a template registered with one store (register_template).
+using TemplateId = std::size_t;
+
+/// The store groups its successful entries by similarity template, so that
+/// an estimate reads one group's statistics instead of walking entries.
+///
+/// A registered template (keys + regression attribute) files every
+/// successful entry that carries all of its keys into one group per tuple
+/// of key values. A group holds its members and two Welford accumulators,
+/// folded in insertion order: exactly what a loop over the members, oldest
+/// first, computes. The write path pays for this: add() folds each entry
+/// into one group per template, and trimming re-folds every group that
+/// lost a member from the members it keeps.
 class TaskHistoryStore {
+ private:
+  /// One member list: ascending positions, live from `head` on. Trimming
+  /// pops from the front; the dead prefix is compacted away once it makes
+  /// up half the vector.
+  struct SeqList {
+    std::vector<HistorySeq> seqs;
+    std::size_t head = 0;
+
+    std::span<const HistorySeq> view() const {
+      return std::span<const HistorySeq>(seqs).subspan(head);
+    }
+    bool empty() const { return head == seqs.size(); }
+    void pop_front();
+  };
+
  public:
+  /// The successful entries that share one tuple of a template's key values.
+  class Group {
+   public:
+    /// Ascending positions of the members (never empty).
+    std::span<const HistorySeq> members() const { return members_.view(); }
+    /// The members' runtimes.
+    const RunningStats& runtimes() const { return runtimes_; }
+    /// Runtime on the template's regression attribute, over the members
+    /// whose value std::stod parses.
+    const LinearRegression& fit() const { return fit_; }
+
+   private:
+    friend class TaskHistoryStore;
+    SeqList members_;
+    RunningStats runtimes_;
+    LinearRegression fit_;
+  };
+
   /// `max_entries` bounds memory; the oldest entries fall off. 0 = unbounded.
   explicit TaskHistoryStore(std::size_t max_entries = 0) : max_entries_(max_entries) {}
+
+  TaskHistoryStore(const TaskHistoryStore&) = default;
+  TaskHistoryStore(TaskHistoryStore&&) = default;
+  /// Assignment takes `other`'s entries, bound and attachments but keeps
+  /// this store's registered templates and their ids (estimators built over
+  /// this store hold them), and regroups the entries under them.
+  TaskHistoryStore& operator=(const TaskHistoryStore& other);
+  TaskHistoryStore& operator=(TaskHistoryStore&& other);
 
   /// Journals every completion sample to `wal` from now on (null detaches),
   /// making the decentralised site history crash-consistent.
@@ -56,44 +109,52 @@ class TaskHistoryStore {
   bool empty() const { return entries_.empty(); }
   const std::vector<HistoryEntry>& entries() const { return entries_; }
 
+  /// Drops every entry; registered templates stay.
   void clear();
 
-  /// Ascending positions of the successful entries whose attribute `key`
-  /// equals `value` (empty when there are none).
-  std::span<const HistorySeq> postings(const std::string& key, const std::string& value) const;
+  /// Groups the store by `keys`, regressing runtime on `regress_on`, and
+  /// folds the entries it already holds. Registering a template again
+  /// returns its first id, so many estimators over one store share groups.
+  TemplateId register_template(const std::vector<std::string>& keys,
+                               const std::string& regress_on);
+  /// Number of distinct templates registered.
+  std::size_t template_count() const { return templates_.size(); }
+  /// A registered template with exactly these keys (any regression attribute).
+  std::optional<TemplateId> find_template(const std::vector<std::string>& keys) const;
+  /// The group of template `id` whose key values `attributes` carries; null
+  /// when it lacks a key or no successful entry shares its values. `key` is
+  /// scratch space a caller may reuse across calls.
+  const Group* group(TemplateId id, const std::map<std::string, std::string>& attributes,
+                     std::string& key) const;
+
   /// Ascending positions of every successful entry.
-  std::span<const HistorySeq> successful() const { return successful_.view(); }
-  /// The entry at position `seq`; `seq` must come from postings()/successful().
+  std::span<const HistorySeq> successful() const { return successful_.members(); }
+  /// Runtimes of every successful entry, oldest first.
+  const RunningStats& successful_runtimes() const { return successful_.runtimes(); }
+  /// The entry at position `seq`; `seq` must come from a member list.
   const HistoryEntry& at(HistorySeq seq) const { return entries_[seq - first_seq_]; }
 
   /// Compacts the WAL to one snapshot of the current entries.
   Status save_snapshot();
   /// Rebuilds the store from the WAL (last snapshot + tail). Replays
   /// through add(), so max_entries trimming applies; idempotent; tolerates
-  /// a torn final record.
+  /// a torn final record. Registered templates stay.
   Status recover();
   /// Canonical one-line-per-entry serialisation (snapshot payload; tests
   /// byte-compare recovered state through it).
   std::string export_state() const;
 
  private:
-  /// One posting list: ascending positions, live from `head` on. Trimming
-  /// pops from the front; the dead prefix is compacted away once it makes
-  /// up half the vector.
-  struct Postings {
-    std::vector<HistorySeq> seqs;
-    std::size_t head = 0;
-
-    std::span<const HistorySeq> view() const {
-      return std::span<const HistorySeq>(seqs).subspan(head);
-    }
-    bool empty() const { return head == seqs.size(); }
-    void pop_front();
+  struct Template {
+    std::vector<std::string> keys;
+    std::string regress_on;
+    std::unordered_map<std::string, Group> groups;  // by encoded key values
   };
-  using ValuePostings = std::unordered_map<std::string, Postings>;
 
   void index_entry(HistorySeq seq, const HistoryEntry& entry);
-  void unindex_oldest(const HistoryEntry& entry);
+  void index_into(Template& tmpl, HistorySeq seq, const HistoryEntry& entry, std::string& key);
+  void trim(std::size_t drop);
+  void refold(Group& group, const std::string* regress_on);
   void reindex();
 
   std::size_t max_entries_;
@@ -101,8 +162,8 @@ class TaskHistoryStore {
   storage::StoreHealth* health_ = nullptr;
   std::vector<HistoryEntry> entries_;  // oldest first; entries_[0] is first_seq_
   HistorySeq first_seq_ = 0;
-  std::unordered_map<std::string, ValuePostings> index_;  // key -> value -> postings
-  Postings successful_;
+  std::vector<Template> templates_;  // indexed by TemplateId
+  Group successful_;                 // every successful entry; no regression
 };
 
 /// One-line codec for a history entry (the WAL payload format).

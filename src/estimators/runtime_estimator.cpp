@@ -20,21 +20,23 @@ RuntimeEstimator::RuntimeEstimator(std::shared_ptr<TaskHistoryStore> history,
                                    RuntimeEstimatorOptions options)
     : history_(std::move(history)), matcher_(std::move(matcher)), options_(options) {
   if (!history_) history_ = std::make_shared<TaskHistoryStore>();
+  for (const auto& tmpl : matcher_.templates()) {
+    template_ids_.push_back(history_->register_template(tmpl.keys, options_.regression_attribute));
+  }
 }
 
 Result<RuntimeEstimate> RuntimeEstimator::estimate(
     const std::map<std::string, std::string>& attributes) const {
-  const auto match = matcher_.find_similar(*history_, attributes, options_.min_matches);
-  if (match.entries.empty()) {
+  const auto match = matcher_.find_group(*history_, template_ids_, attributes,
+                                         options_.min_matches);
+  if (!match.group) {
     return failed_precondition_error("no task history available for estimation");
   }
 
-  RunningStats stats;
-  for (const HistoryEntry* e : match.entries) stats.add(e->runtime_seconds);
-
+  const RunningStats& stats = match.group->runtimes();
   RuntimeEstimate est;
   est.samples = stats.count();
-  est.template_name = match.template_name;
+  est.template_name = *match.template_name;
   est.stddev = stats.stddev();
   est.seconds = stats.mean();
   est.used = EstimatorKind::kMean;
@@ -49,17 +51,7 @@ Result<RuntimeEstimate> RuntimeEstimator::estimate(
     } catch (...) {
       return est;  // attribute not numeric: the mean stands
     }
-    LinearRegression reg;
-    for (const HistoryEntry* e : match.entries) {
-      auto xe = e->attributes.find(options_.regression_attribute);
-      if (xe == e->attributes.end()) continue;
-      try {
-        reg.add(std::stod(xe->second), e->runtime_seconds);
-      } catch (...) {
-        // skip entries with non-numeric attribute values
-      }
-    }
-    const LinearFit fit = reg.fit();
+    const LinearFit fit = match.group->fit().fit();
     const bool take_fit =
         fit.valid && (options_.kind == EstimatorKind::kLinearRegression ||
                       fit.r_squared >= options_.min_r_squared);
@@ -75,10 +67,7 @@ Result<RuntimeEstimate> RuntimeEstimator::estimate(
 }
 
 Result<RuntimeEstimate> RuntimeEstimator::estimate_cheap() const {
-  RunningStats stats;
-  for (const HistoryEntry& e : history_->entries()) {
-    if (e.successful) stats.add(e.runtime_seconds);
-  }
+  const RunningStats& stats = history_->successful_runtimes();
   if (stats.count() == 0) {
     return failed_precondition_error("no task history available for estimation");
   }

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "estimators/history.h"
@@ -48,23 +49,23 @@ struct RuntimeEstimatorOptions {
 
 class RuntimeEstimator {
  public:
-  /// The estimator reads and appends to a site-local history store.
+  /// The estimator reads and appends to a site-local history store, and
+  /// registers the matcher's templates with it.
   RuntimeEstimator(std::shared_ptr<TaskHistoryStore> history,
                    SimilarityMatcher matcher = SimilarityMatcher(),
                    RuntimeEstimatorOptions options = {});
 
-  /// Predicted runtime for a task with these attributes. FAILED_PRECONDITION
-  /// when the history is empty.
+  /// Predicted runtime for a task with these attributes: the statistics of
+  /// the group find_similar would match, kept by the store, so one hash
+  /// lookup per template tried. FAILED_PRECONDITION when the history is empty.
   Result<RuntimeEstimate> estimate(
       const std::map<std::string, std::string>& attributes) const;
 
   /// Degraded-mode estimate: the mean over every successful history entry,
-  /// skipping similarity matching and regression entirely. O(history) with
-  /// no template scoring — what the service serves while browned out. For a
-  /// task with similar history it costs more than estimate(), whose search
-  /// reads only the index's posting lists.
-  /// template_name is "*" and `used` is kMean. FAILED_PRECONDITION when no
-  /// successful entries exist.
+  /// skipping similarity matching and regression entirely — what the service
+  /// serves while browned out. O(1): the store keeps that mean as entries
+  /// arrive. template_name is "*" and `used` is kMean. FAILED_PRECONDITION
+  /// when no successful entries exist.
   Result<RuntimeEstimate> estimate_cheap() const;
 
   /// Records an observed runtime (decentralised history maintenance: the
@@ -78,6 +79,7 @@ class RuntimeEstimator {
   std::shared_ptr<TaskHistoryStore> history_;
   SimilarityMatcher matcher_;
   RuntimeEstimatorOptions options_;
+  std::vector<TemplateId> template_ids_;  // matcher_.templates()[i] in history_
 };
 
 }  // namespace gae::estimators

@@ -1,8 +1,5 @@
 #include "estimators/similarity.h"
 
-#include <algorithm>
-#include <span>
-
 namespace gae::estimators {
 
 std::string SimilarityTemplate::name() const {
@@ -48,40 +45,26 @@ std::vector<SimilarityTemplate> default_templates() {
 SimilarityMatcher::SimilarityMatcher(std::vector<SimilarityTemplate> templates)
     : templates_(std::move(templates)) {
   if (templates_.empty()) templates_.push_back(SimilarityTemplate{});
+  for (const auto& tmpl : templates_) names_.push_back(tmpl.name());
 }
 
 namespace {
 
 /// Entries of `history` that share every `tmpl` key's value with
-/// `attributes` (SimilarityTemplate::matches), oldest first: the posting
-/// lists of those key/value pairs intersected, driven from the shortest.
+/// `attributes` (SimilarityTemplate::matches), oldest first.
 std::vector<const HistoryEntry*> matching_entries(
     const TaskHistoryStore& history, const SimilarityTemplate& tmpl,
-    const std::map<std::string, std::string>& attributes) {
-  std::vector<std::span<const HistorySeq>> lists;
-  lists.reserve(tmpl.keys.size());
-  for (const auto& key : tmpl.keys) {
-    const auto it = attributes.find(key);
-    if (it == attributes.end()) return {};
-    const auto list = history.postings(key, it->second);
-    if (list.empty()) return {};
-    lists.push_back(list);
-  }
-  if (lists.empty()) lists.push_back(history.successful());
-  std::sort(lists.begin(), lists.end(),
-            [](const auto& a, const auto& b) { return a.size() < b.size(); });
-
+    const std::map<std::string, std::string>& attributes, std::string& key) {
   std::vector<const HistoryEntry*> matched;
-  for (const HistorySeq seq : lists.front()) {
-    bool everywhere = true;
-    for (std::size_t i = 1; i < lists.size() && everywhere; ++i) {
-      // Candidates ascend, so each longer list is only ever searched forward.
-      auto& list = lists[i];
-      list = list.subspan(static_cast<std::size_t>(
-          std::lower_bound(list.begin(), list.end(), seq) - list.begin()));
-      everywhere = !list.empty() && list.front() == seq;
+  if (const auto id = history.find_template(tmpl.keys)) {
+    if (const auto* group = history.group(*id, attributes, key)) {
+      for (const HistorySeq seq : group->members()) matched.push_back(&history.at(seq));
     }
-    if (everywhere) matched.push_back(&history.at(seq));
+    return matched;
+  }
+  for (const HistorySeq seq : history.successful()) {
+    const HistoryEntry& entry = history.at(seq);
+    if (tmpl.matches(attributes, entry.attributes)) matched.push_back(&entry);
   }
   return matched;
 }
@@ -93,18 +76,37 @@ SimilarityMatcher::Match SimilarityMatcher::find_similar(
     std::size_t min_matches) const {
   if (min_matches == 0) min_matches = 1;
   Match best;
-  for (const auto& tmpl : templates_) {
-    std::vector<const HistoryEntry*> matched = matching_entries(history, tmpl, attributes);
+  std::string key;
+  for (std::size_t i = 0; i < templates_.size(); ++i) {
+    std::vector<const HistoryEntry*> matched =
+        matching_entries(history, templates_[i], attributes, key);
     if (matched.size() >= min_matches) {
       best.entries = std::move(matched);
-      best.template_name = tmpl.name();
+      best.template_name = names_[i];
       return best;
     }
     // Remember the best-effort candidate in case nothing reaches min_matches.
     if (matched.size() > best.entries.size()) {
       best.entries = std::move(matched);
-      best.template_name = tmpl.name();
+      best.template_name = names_[i];
     }
+  }
+  return best;
+}
+
+SimilarityMatcher::GroupMatch SimilarityMatcher::find_group(
+    const TaskHistoryStore& history, std::span<const TemplateId> ids,
+    const std::map<std::string, std::string>& attributes, std::size_t min_matches) const {
+  if (min_matches == 0) min_matches = 1;
+  GroupMatch best;
+  std::string key;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const TaskHistoryStore::Group* group = history.group(ids[i], attributes, key);
+    if (!group) continue;
+    const std::size_t matched = group->runtimes().count();
+    if (matched >= min_matches) return {group, &names_[i]};
+    // The first template with the most matches is the best-effort candidate.
+    if (!best.group || matched > best.group->runtimes().count()) best = {group, &names_[i]};
   }
   return best;
 }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,16 +41,29 @@ class SimilarityMatcher {
   /// Entries similar to `attributes` under the most specific template that
   /// produces at least `min_matches` successful entries. Falls back towards
   /// less specific templates; returns an empty match only for empty history.
-  /// Reads the history's posting lists, so a template costs in proportion to
-  /// the lists it intersects, not to the size of the history.
+  /// A template registered with the store reads its group's member list; any
+  /// other template scans the successful entries.
   Match find_similar(const TaskHistoryStore& history,
                      const std::map<std::string, std::string>& attributes,
                      std::size_t min_matches) const;
+
+  /// The group whose members find_similar would return, read from the
+  /// store's groups at one hash lookup per template tried. `ids[i]` is
+  /// templates()[i] registered with `history`. `group` is null exactly when
+  /// find_similar's match is empty.
+  struct GroupMatch {
+    const TaskHistoryStore::Group* group = nullptr;
+    const std::string* template_name = nullptr;
+  };
+  GroupMatch find_group(const TaskHistoryStore& history, std::span<const TemplateId> ids,
+                        const std::map<std::string, std::string>& attributes,
+                        std::size_t min_matches) const;
 
   const std::vector<SimilarityTemplate>& templates() const { return templates_; }
 
  private:
   std::vector<SimilarityTemplate> templates_;
+  std::vector<std::string> names_;  // templates_[i].name()
 };
 
 }  // namespace gae::estimators

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "common/log.h"
 
@@ -171,20 +170,41 @@ Result<TaskInfo> ExecutionService::query(const std::string& task_id) const {
                                                : static_cast<int>(queued - queue_.begin()));
 }
 
+template <typename Fn>
+void ExecutionService::walk_tasks(Fn&& fn) const {
+  if (!up_) return;
+  // One pass over the queue, sorted by record; a task's first place in it
+  // wins, as in query().
+  using Place = std::pair<const TaskRec*, int>;
+  const auto before = [](const Place& a, const Place& b) {
+    return std::less<const TaskRec*>()(a.first, b.first) ||
+           (a.first == b.first && a.second < b.second);
+  };
+  std::vector<Place> position;
+  position.reserve(queue_.size());
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    if (const TaskRec* rec = find(queue_[i])) position.emplace_back(rec, static_cast<int>(i));
+  }
+  std::sort(position.begin(), position.end(), before);
+  for (const auto& [id, rec] : tasks_) {
+    const auto at = std::lower_bound(position.begin(), position.end(), Place{&rec, -1}, before);
+    fn(rec, at != position.end() && at->first == &rec ? at->second : -1);
+  }
+}
+
 std::vector<TaskInfo> ExecutionService::list_tasks() const {
   std::vector<TaskInfo> out;
-  if (!up_) return out;
-  // One pass over the queue; a task's first place in it wins, as in query().
-  std::unordered_map<const TaskRec*, int> position;
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    if (const TaskRec* rec = find(queue_[i])) position.emplace(rec, static_cast<int>(i));
-  }
   out.reserve(tasks_.size());
-  for (const auto& [id, rec] : tasks_) {
-    const auto at = position.find(&rec);
-    out.push_back(snapshot(rec, at == position.end() ? -1 : at->second));
-  }
+  walk_tasks([&](const TaskRec& rec, int queue_position) {
+    out.push_back(snapshot(rec, queue_position));
+  });
   return out;
+}
+
+void ExecutionService::for_each_task(const std::function<void(const TaskView&)>& fn) const {
+  walk_tasks([&](const TaskRec& rec, int queue_position) {
+    fn({rec.info.spec, rec.info.state, queue_position, current_cpu_seconds(rec)});
+  });
 }
 
 std::vector<TaskInfo> ExecutionService::queued_tasks() const {

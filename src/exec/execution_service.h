@@ -97,6 +97,19 @@ class ExecutionService {
   /// All tasks ever submitted here (terminal ones included).
   std::vector<TaskInfo> list_tasks() const;
 
+  /// What for_each_task shows of one task: the list_tasks() fields a walk
+  /// over every task reads, without copying its TaskInfo.
+  struct TaskView {
+    const TaskSpec& spec;
+    TaskState state;
+    int queue_position;       // as in TaskInfo
+    double cpu_seconds_used;  // as in TaskInfo, up to date
+  };
+
+  /// Calls `fn` for every task list_tasks() would list, in the same order
+  /// and with the same values, in place.
+  void for_each_task(const std::function<void(const TaskView&)>& fn) const;
+
   /// Waiting tasks in dispatch order (queue_position filled in).
   std::vector<TaskInfo> queued_tasks() const;
 
@@ -193,6 +206,9 @@ class ExecutionService {
   double current_cpu_seconds(const TaskRec& rec) const;
   /// Point-in-time view of `rec` (query() and list_tasks() share it).
   TaskInfo snapshot(const TaskRec& rec, int queue_position) const;
+  /// Calls `fn(rec, queue_position)` for every task, in task-id order.
+  template <typename Fn>
+  void walk_tasks(Fn&& fn) const;
 
   sim::Simulation& sim_;
   sim::Grid& grid_;

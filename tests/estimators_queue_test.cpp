@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.h"
 #include "sim/load.h"
 
 namespace gae::estimators {
@@ -149,6 +155,124 @@ TEST_F(QueueEstimatorTest, OverdueTasksContributeZeroNotNegative) {
   ASSERT_TRUE(service_->submit(spec("target", 10, 0)).is_ok());
   QueueTimeEstimator est(*service_, db_);
   EXPECT_DOUBLE_EQ(est.estimate("target").value().seconds, 0.0);
+}
+
+// The sum as it was made before the estimator walked tasks in place: every
+// TaskInfo copied out of list_tasks(), a second time to count busy nodes.
+Result<QueueTimeEstimate> scan_queue_time(const exec::ExecutionService& service,
+                                          const EstimateDatabase& estimates,
+                                          const QueueTimeOptions& options,
+                                          const std::string& task_id) {
+  auto target = service.query(task_id);
+  if (!target.is_ok()) return target.status();
+  const exec::TaskInfo& info = target.value();
+  QueueTimeEstimate out;
+  if (info.state != exec::TaskState::kQueued) return out;
+  for (const exec::TaskInfo& other : service.list_tasks()) {
+    if (other.spec.id == task_id || exec::is_terminal(other.state)) continue;
+    if (other.state == exec::TaskState::kSuspended) continue;
+    bool counts = other.spec.priority > info.spec.priority;
+    if (!counts && options.include_equal_priority_ahead &&
+        other.spec.priority == info.spec.priority &&
+        other.state == exec::TaskState::kQueued) {
+      counts = other.queue_position >= 0 && info.queue_position >= 0 &&
+               other.queue_position < info.queue_position;
+    }
+    if (!counts && (other.state == exec::TaskState::kRunning ||
+                    other.state == exec::TaskState::kStaging)) {
+      counts = true;
+    }
+    if (!counts) continue;
+    const double estimated =
+        estimates.get(other.spec.id).value_or(options.fallback_estimate_seconds);
+    out.seconds += std::max(0.0, estimated - other.cpu_seconds_used);
+    ++out.tasks_ahead;
+  }
+  if (options.divide_by_nodes) {
+    std::size_t occupied = 0;
+    for (const exec::TaskInfo& t : service.list_tasks()) {
+      if (t.state == exec::TaskState::kRunning || t.state == exec::TaskState::kStaging) {
+        ++occupied;
+      }
+    }
+    out.seconds /= static_cast<double>(std::max<std::size_t>(1, occupied + service.free_nodes()));
+  }
+  return out;
+}
+
+// Random execution states — queued, staging, running, suspended and
+// terminal tasks, mixed priorities, equal priorities queued ahead, drained
+// nodes, tasks with no recorded estimate — and every task asked about under
+// every option, against the list_tasks() scan, to the bit.
+TEST(QueueEstimatorOracle, MatchesListTasksScanOnRandomStates) {
+  std::size_t queued_targets = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    sim::Simulation sim;
+    sim::Grid grid;
+    auto& site = grid.add_site("s");
+    const auto nodes = rng.uniform_int(1, 4);
+    for (std::int64_t n = 0; n < nodes; ++n) site.add_node("n" + std::to_string(n), 1.0, nullptr);
+    grid.add_site("far").add_node("f0", 1.0, nullptr);
+    grid.site("far").store_file("input.dat", 50'000'000);
+    grid.set_default_link({1e6, from_millis(30)});  // staging takes ~50 s
+    exec::ExecutionService service(sim, grid, "s");
+    auto db = std::make_shared<EstimateDatabase>();
+    if (nodes > 1 && rng.bernoulli(0.5)) {
+      ASSERT_TRUE(service.drain_node(0).is_ok());
+    }
+
+    std::vector<std::string> ids;
+    for (int i = 0; i < 40; ++i) {
+      // Ids out of submission order, so task-id order is not queue order.
+      const std::string id = "t" + std::to_string(rng.uniform_int(100, 999)) + "-" +
+                             std::to_string(i);
+      exec::TaskSpec s =
+          spec(id, rng.uniform(20.0, 400.0), static_cast<int>(rng.uniform_int(0, 3)));
+      if (rng.bernoulli(0.3)) s.input_files = {"input.dat"};
+      ASSERT_TRUE(service.submit(s).is_ok());
+      if (rng.bernoulli(0.7)) db->put(id, rng.uniform(10.0, 500.0));
+      ids.push_back(id);
+      sim.run_until(sim.now() + from_seconds(rng.uniform(0.0, 15.0)));
+      const std::string& other = rng.pick(ids);
+      const double action = rng.uniform(0.0, 1.0);
+      if (action < 0.08) {
+        (void)service.suspend(other);
+      } else if (action < 0.12) {
+        (void)service.resume(other);
+      } else if (action < 0.16) {
+        (void)service.kill(other);
+      } else if (action < 0.19) {
+        (void)service.inject_task_failure(other, "injected");
+      } else if (action < 0.27) {
+        (void)service.set_priority(other, static_cast<int>(rng.uniform_int(0, 3)));
+      }
+    }
+
+    ids.push_back("no-such-task");
+    for (const std::string& id : ids) {
+      const auto info = service.query(id);
+      if (info.is_ok() && info.value().state == exec::TaskState::kQueued) ++queued_targets;
+      for (const bool equal_ahead : {true, false}) {
+        for (const bool divide : {false, true}) {
+          QueueTimeOptions options;
+          options.include_equal_priority_ahead = equal_ahead;
+          options.divide_by_nodes = divide;
+          options.fallback_estimate_seconds = 321.0;
+          const auto got = QueueTimeEstimator(service, db, options).estimate(id);
+          const auto want = scan_queue_time(service, *db, options, id);
+          ASSERT_EQ(got.status().code(), want.status().code()) << id;
+          if (!got.is_ok()) continue;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.value().seconds),
+                    std::bit_cast<std::uint64_t>(want.value().seconds))
+              << id;
+          ASSERT_EQ(got.value().tasks_ahead, want.value().tasks_ahead) << id;
+        }
+      }
+    }
+  }
+  EXPECT_GT(queued_targets, 100u);  // the states did queue work
 }
 
 }  // namespace

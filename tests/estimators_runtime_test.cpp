@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <bit>
 #include <cstdio>
 #include <thread>
 
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/wal.h"
 #include "estimators/estimate_db.h"
 #include "estimators/recorder.h"
@@ -82,6 +85,19 @@ TEST(SimilarityMatcher, UnsuccessfulEntriesExcluded) {
   auto match = matcher.find_similar(store, attrs("a", "u", "q", 4), 1);
   EXPECT_EQ(match.entries.size(), 1u);
   EXPECT_DOUBLE_EQ(match.entries[0]->runtime_seconds, 100.0);
+}
+
+// When no template reaches min_matches, the first of the templates that
+// match the most entries wins.
+TEST(SimilarityMatcher, BestEffortTieGoesToTheFirstTemplate) {
+  auto store = std::make_shared<TaskHistoryStore>();
+  for (int i = 0; i < 2; ++i) store->add({attrs("a", "u", "q", 4), 100.0 + i, 0, true});
+  const SimilarityMatcher matcher({SimilarityTemplate{{"login"}}, SimilarityTemplate{{"queue"}}});
+  EXPECT_EQ(matcher.find_similar(*store, attrs("a", "u", "q", 4), 5).template_name, "login");
+  RuntimeEstimatorOptions opts;
+  opts.min_matches = 5;
+  const RuntimeEstimator estimator(store, matcher, opts);
+  EXPECT_EQ(estimator.estimate(attrs("a", "u", "q", 4)).value().template_name, "login");
 }
 
 TEST(SimilarityMatcher, EmptyHistoryYieldsEmptyMatch) {
@@ -254,8 +270,14 @@ HistoryEntry random_entry(Rng& rng) {
       entry.attributes[key] = key.substr(0, 1) + std::to_string(rng.uniform_int(0, values - 1));
     }
   }
-  // Numeric, so the hybrid estimator's regression on nodes runs too.
-  if (rng.bernoulli(0.85)) entry.attributes["nodes"] = std::to_string(1 << rng.uniform_int(0, 3));
+  // Mostly numeric, so the hybrid estimator's regression on nodes runs too;
+  // std::stod rejects "many" and reads only the 8 of "8x".
+  if (rng.bernoulli(0.85)) {
+    const double form = rng.uniform(0.0, 1.0);
+    entry.attributes["nodes"] = form < 0.1    ? "many"
+                                : form < 0.15 ? "8x"
+                                              : std::to_string(1 << rng.uniform_int(0, 3));
+  }
   entry.runtime_seconds = rng.uniform(10.0, 5000.0);
   entry.recorded_at = from_seconds(rng.uniform(0.0, 1e6));
   entry.successful = rng.bernoulli(0.8);
@@ -279,6 +301,120 @@ std::vector<std::map<std::string, std::string>> oracle_probes(Rng& rng) {
   return probes;
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// The estimate as it was computed before the store kept group statistics:
+// a walk over the matched entries, oldest first, parsing the regression
+// attribute of each.
+Result<RuntimeEstimate> scan_estimate(const SimilarityMatcher::Match& match,
+                                      const std::map<std::string, std::string>& probe,
+                                      const RuntimeEstimatorOptions& opts) {
+  if (match.entries.empty()) return failed_precondition_error("no history");
+  RunningStats stats;
+  for (const HistoryEntry* e : match.entries) stats.add(e->runtime_seconds);
+  RuntimeEstimate est;
+  est.samples = stats.count();
+  est.template_name = match.template_name;
+  est.stddev = stats.stddev();
+  est.seconds = stats.mean();
+  est.used = EstimatorKind::kMean;
+  const auto x = probe.find(opts.regression_attribute);
+  if (opts.kind == EstimatorKind::kMean || x == probe.end() || stats.count() < 2) return est;
+  double x_target = 0.0;
+  try {
+    x_target = std::stod(x->second);
+  } catch (...) {
+    return est;
+  }
+  LinearRegression reg;
+  for (const HistoryEntry* e : match.entries) {
+    const auto xe = e->attributes.find(opts.regression_attribute);
+    if (xe == e->attributes.end()) continue;
+    try {
+      reg.add(std::stod(xe->second), e->runtime_seconds);
+    } catch (...) {
+    }
+  }
+  const LinearFit fit = reg.fit();
+  if (fit.valid && (opts.kind == EstimatorKind::kLinearRegression ||
+                    fit.r_squared >= opts.min_r_squared)) {
+    const double predicted = fit.predict(x_target);
+    if (predicted > 0 && std::isfinite(predicted)) {
+      est.seconds = predicted;
+      est.used = EstimatorKind::kLinearRegression;
+    }
+  }
+  return est;
+}
+
+// `estimator`, over `history` and matching by `templates`, answers `probe`
+// as the walk over the oracle's match set does, to the bit.
+void expect_estimate_matches_scan(const RuntimeEstimator& estimator,
+                                  const TaskHistoryStore& history,
+                                  const std::vector<SimilarityTemplate>& templates,
+                                  const std::map<std::string, std::string>& probe,
+                                  const RuntimeEstimatorOptions& opts) {
+  const auto a = estimator.estimate(probe);
+  const auto b =
+      scan_estimate(scan_similar(history, templates, probe, opts.min_matches), probe, opts);
+  ASSERT_EQ(a.is_ok(), b.is_ok());
+  if (!a.is_ok()) return;
+  ASSERT_EQ(bits(a.value().seconds), bits(b.value().seconds));
+  ASSERT_EQ(a.value().samples, b.value().samples);
+  ASSERT_EQ(bits(a.value().stddev), bits(b.value().stddev));
+  ASSERT_EQ(a.value().used, b.value().used);
+  ASSERT_EQ(a.value().template_name, b.value().template_name);
+}
+
+// The brownout fallback equals the mean over every successful entry.
+void expect_cheap_matches_scan(const RuntimeEstimator& estimator,
+                               const TaskHistoryStore& history) {
+  RunningStats all;
+  for (const auto& entry : history.entries()) {
+    if (entry.successful) all.add(entry.runtime_seconds);
+  }
+  const auto got = estimator.estimate_cheap();
+  ASSERT_EQ(got.is_ok(), all.count() > 0);
+  if (!got.is_ok()) return;
+  ASSERT_EQ(bits(got.value().seconds), bits(all.mean()));
+  ASSERT_EQ(bits(got.value().stddev), bits(all.stddev()));
+  ASSERT_EQ(got.value().samples, all.count());
+}
+
+// Estimators built over one store before it is mutated, one per statistic
+// and min_matches. Each answer must stay the oracle's whatever the store
+// goes through.
+class EarlyEstimators {
+ public:
+  explicit EarlyEstimators(std::shared_ptr<TaskHistoryStore> store) : store_(std::move(store)) {
+    for (const auto kind :
+         {EstimatorKind::kMean, EstimatorKind::kLinearRegression, EstimatorKind::kHybrid}) {
+      for (const std::size_t min_matches : {1u, 3u, 40u}) {
+        RuntimeEstimatorOptions opts;
+        opts.kind = kind;
+        opts.min_matches = min_matches;
+        estimators_.emplace_back(opts, RuntimeEstimator(store_, SimilarityMatcher(), opts));
+      }
+    }
+  }
+
+  void expect_match_scan(std::uint64_t seed) const {
+    SCOPED_TRACE("early estimators over " + std::to_string(store_->size()) + " entries");
+    Rng rng(seed);
+    for (const auto& probe : oracle_probes(rng)) {
+      for (const auto& [opts, estimator] : estimators_) {
+        ASSERT_NO_FATAL_FAILURE(expect_estimate_matches_scan(estimator, *store_,
+                                                             default_templates(), probe, opts));
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_cheap_matches_scan(estimators_.front().second, *store_));
+  }
+
+ private:
+  std::shared_ptr<TaskHistoryStore> store_;
+  std::vector<std::pair<RuntimeEstimatorOptions, RuntimeEstimator>> estimators_;
+};
+
 // Every match and estimate `history` gives equals the oracle's.
 void expect_index_matches_scan(const std::shared_ptr<TaskHistoryStore>& history,
                                std::uint64_t seed) {
@@ -295,24 +431,10 @@ void expect_index_matches_scan(const std::shared_ptr<TaskHistoryStore>& history,
         ASSERT_EQ(got.entries, want.entries) << want.template_name;
         ASSERT_EQ(got.template_name, want.template_name);
 
-        // The same match set gives the same estimate: an estimator over a
-        // store holding exactly the oracle's entries, matched by "(any)",
-        // must agree to the bit.
         RuntimeEstimatorOptions opts;
         opts.min_matches = min_matches;
-        auto matched_only = std::make_shared<TaskHistoryStore>();
-        for (const HistoryEntry* e : want.entries) matched_only->add(*e);
-        const RuntimeEstimator indexed(history, matcher, opts);
-        const RuntimeEstimator oracle(matched_only, SimilarityMatcher({SimilarityTemplate{}}),
-                                      opts);
-        const auto a = indexed.estimate(probe);
-        const auto b = oracle.estimate(probe);
-        ASSERT_EQ(a.is_ok(), b.is_ok());
-        if (!a.is_ok()) continue;
-        ASSERT_EQ(a.value().seconds, b.value().seconds);
-        ASSERT_EQ(a.value().samples, b.value().samples);
-        ASSERT_EQ(a.value().stddev, b.value().stddev);
-        ASSERT_EQ(a.value().used, b.value().used);
+        ASSERT_NO_FATAL_FAILURE(expect_estimate_matches_scan(
+            RuntimeEstimator(history, matcher, opts), *history, templates, probe, opts));
       }
     }
   }
@@ -380,6 +502,61 @@ TEST(HistoryIndex, MatchesBruteForceScanAcrossEveryMutator) {
   ASSERT_NO_FATAL_FAILURE(expect_index_matches_scan(revived, 9));
   fill(*revived, rng, 100);
   ASSERT_NO_FATAL_FAILURE(expect_index_matches_scan(revived, 10));
+
+  // Estimators built before any of the mutations above, over one store
+  // that goes through each of them in turn.
+  auto store = std::make_shared<TaskHistoryStore>(60);
+  const EarlyEstimators early(store);
+  ASSERT_NO_FATAL_FAILURE(early.expect_match_scan(11));
+  fill(*store, rng, 40);  // add
+  ASSERT_NO_FATAL_FAILURE(early.expect_match_scan(12));
+  fill(*store, rng, 250);  // trimming to 60
+  ASSERT_EQ(store->size(), 60u);
+  ASSERT_NO_FATAL_FAILURE(early.expect_match_scan(13));
+  store->clear();
+  ASSERT_NO_FATAL_FAILURE(early.expect_match_scan(14));
+  fill(*store, rng, 90);
+  ASSERT_NO_FATAL_FAILURE(early.expect_match_scan(15));
+  *store = *unbounded;  // copy-assign: 600 entries, unbounded from now on
+  ASSERT_NO_FATAL_FAILURE(early.expect_match_scan(16));
+  fill(*store, rng, 30);
+  ASSERT_NO_FATAL_FAILURE(early.expect_match_scan(17));
+  store->attach_wal(&wal);  // recover() what the journal holds
+  ASSERT_TRUE(store->recover().is_ok());
+  TaskHistoryStore from_journal;
+  from_journal.attach_wal(&wal);
+  ASSERT_TRUE(from_journal.recover().is_ok());
+  ASSERT_EQ(store->export_state(), from_journal.export_state());
+  ASSERT_NO_FATAL_FAILURE(early.expect_match_scan(18));
+  fill(*store, rng, 50);
+  ASSERT_NO_FATAL_FAILURE(early.expect_match_scan(19));
+  store->attach_wal(nullptr);
+  ASSERT_TRUE(save_history(*unbounded, path).is_ok());
+  auto reread = load_history(path, 50);
+  std::remove(path.c_str());
+  ASSERT_TRUE(reread.is_ok()) << reread.status();
+  *store = std::move(reread).value();  // a store produced by load_history
+  ASSERT_EQ(store->size(), 50u);
+  ASSERT_NO_FATAL_FAILURE(early.expect_match_scan(20));
+  fill(*store, rng, 70);
+  ASSERT_NO_FATAL_FAILURE(early.expect_match_scan(21));
+}
+
+TEST(HistoryIndex, EstimatorsShareOneRegistrationPerTemplate) {
+  Rng rng(77);
+  auto store = std::make_shared<TaskHistoryStore>();
+  fill(*store, rng, 200);
+  const RuntimeEstimator first(store);
+  const std::size_t registered = store->template_count();
+  EXPECT_EQ(registered, default_templates().size());
+  std::vector<RuntimeEstimator> more;
+  for (int i = 0; i < 100; ++i) more.emplace_back(store);
+  EXPECT_EQ(store->template_count(), registered);
+  fill(*store, rng, 20);
+  const auto probe = random_entry(rng).attributes;
+  const auto want = first.estimate(probe);
+  ASSERT_TRUE(want.is_ok());
+  EXPECT_EQ(bits(more.back().estimate(probe).value().seconds), bits(want.value().seconds));
 }
 
 // The estimator host serves estimates from several worker threads over one
