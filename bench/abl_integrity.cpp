@@ -29,6 +29,7 @@
 #include "storage/repair.h"
 #include "storage/scrubber.h"
 #include "supervision/supervisor.h"
+#include "telemetry/metrics.h"
 
 using namespace gae;
 
@@ -80,8 +81,11 @@ TrialResult run_trial(int seed, double rot_rate, double latch_rate,
   jobmon::DBManager db(nullptr, &wal);
   db.attach_health(&health);
 
+  telemetry::MetricsRegistry metrics;
+  const telemetry::Counter& corruptions = metrics.counter("wal.jobmon.scrub.corrupt");
   storage::ScrubberOptions scrub_options;
   scrub_options.interval = 0;  // scrub whenever ticked
+  scrub_options.metrics = &metrics;
   storage::Scrubber scrubber(clock, scrub_options);
   scrubber.add_target({"jobmon", &faulty, &health});
 
@@ -136,10 +140,10 @@ TrialResult run_trial(int seed, double rot_rate, double latch_rate,
       health.quarantine("latched media needs standby resync");
       ++result.detected;
     }
-    const auto before_scrub = scrubber.stats().corruptions_found;
+    const auto before_scrub = corruptions.value();
     clock.advance_by(from_millis(100));
     scrubber.tick();
-    result.detected += scrubber.stats().corruptions_found - before_scrub;
+    result.detected += corruptions.value() - before_scrub;
 
     if (health.state() == storage::StoreState::kQuarantined) {
       const auto start = std::chrono::steady_clock::now();

@@ -235,8 +235,8 @@ void BM_FaultyTransport(benchmark::State& state) {
                          std::max<double>(1.0, static_cast<double>(ok_calls + failed_calls)));
   state.counters["p50_us"] = benchmark::Counter(percentile(0.50));
   state.counters["p99_us"] = benchmark::Counter(percentile(0.99));
-  state.counters["retries"] =
-      benchmark::Counter(static_cast<double>(client.stats().retries));
+  state.counters["retries"] = benchmark::Counter(static_cast<double>(
+      client.metrics().snapshot().counter_sum("rpc.client.", ".retries")));
 }
 BENCHMARK(BM_FaultyTransport)
     ->Args({1, 0})->Args({1, 1})

@@ -11,19 +11,12 @@ ClarensHost::ClarensHost(std::string name, const Clock& clock, HostOptions optio
     : name_(std::move(name)),
       clock_(clock),
       options_(options),
+      metrics_(options_.metrics),
       dispatcher_(std::make_shared<rpc::Dispatcher>()),
       auth_(clock, options.auth),
       registry_(name_, &clock, options.registry) {
-  dispatcher_->set_telemetry(options_.metrics, options_.tracer, name_);
+  dispatcher_->set_telemetry(metrics_.get(), options_.tracer, name_);
   register_system_methods();
-
-  // Call accounting runs first so every dispatch is counted, whatever its
-  // outcome. Server workers dispatch concurrently, hence the lock.
-  dispatcher_->add_interceptor([this](const std::string& method, const CallContext&) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_[method];
-    return Status::ok();
-  });
 
   // Authentication + ACL interceptor: runs before every dispatched method.
   dispatcher_->add_interceptor([this](const std::string& method, const CallContext& ctx) {
@@ -47,11 +40,6 @@ ClarensHost::ClarensHost(std::string name, const Clock& clock, HostOptions optio
 
 ClarensHost::~ClarensHost() { stop(); }
 
-std::map<std::string, std::uint64_t> ClarensHost::method_stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
-}
-
 Result<std::string> ClarensHost::user_of(const CallContext& ctx) {
   if (!options_.require_auth && ctx.session_token.empty()) {
     return std::string("anonymous");
@@ -74,7 +62,7 @@ Result<std::uint16_t> ClarensHost::serve(std::uint16_t port) {
   rpc::ServerOptions opts;
   opts.port = port;
   opts.num_workers = options_.rpc_workers;
-  opts.connection.metrics = options_.metrics;
+  opts.connection.metrics = metrics_.get();
   opts.connection.admission = options_.admission;
   server_ = std::make_unique<rpc::RpcServer>(dispatcher_, opts);
   auto bound = server_->start();
@@ -194,9 +182,15 @@ void ClarensHost::register_system_methods() {
 
   dispatcher_->register_method(
       "system.stats", [this](const Array&, const CallContext&) -> Result<Value> {
+        // Per-method dispatches that reached the interceptors (auth and ACL
+        // rejections included; deadline-expired work was refused before
+        // them), for methods called at least once.
         Struct out;
-        for (const auto& [method, calls] : method_stats()) {
-          out[method] = Value(static_cast<std::int64_t>(calls));
+        for (const std::string& method : dispatcher_->method_names()) {
+          const std::string prefix = "rpc.server." + method;
+          const std::uint64_t calls = metrics_->counter(prefix + ".calls").value() -
+                                      metrics_->counter(prefix + ".deadline_expired").value();
+          if (calls > 0) out[method] = Value(static_cast<std::int64_t>(calls));
         }
         return Value(std::move(out));
       });

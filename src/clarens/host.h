@@ -6,9 +6,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "clarens/access_control.h"
@@ -31,9 +29,11 @@ struct HostOptions {
   RegistryOptions registry;
   std::size_t rpc_workers = 8;
   /// Telemetry sinks for every dispatch through this host (TCP and
-  /// in-process alike): per-method metrics and one "server" span per call,
-  /// stamped with the host name as the span's service. Either may be null;
-  /// both must outlive the host.
+  /// in-process alike): per-method rpc.server.<method>.* metrics and one
+  /// "server" span per call, stamped with the host name as the span's
+  /// service. Null metrics = a registry the host owns (system.stats reads
+  /// the per-method counts from it); null tracer = no spans. Both must
+  /// outlive the host.
   telemetry::MetricsRegistry* metrics = nullptr;
   telemetry::Tracer* tracer = nullptr;
   /// Adaptive admission control for the TCP transport (see
@@ -54,6 +54,8 @@ class ClarensHost {
   const std::string& name() const { return name_; }
 
   rpc::Dispatcher& dispatcher() { return *dispatcher_; }
+  /// The dispatcher records into the host's registry, which the host may
+  /// own: dispatch through a shared copy only while the host lives.
   std::shared_ptr<rpc::Dispatcher> dispatcher_ptr() { return dispatcher_; }
   AuthService& auth() { return auth_; }
   AccessControl& acl() { return acl_; }
@@ -67,10 +69,6 @@ class ClarensHost {
   Result<rpc::Value> call(const std::string& method, const rpc::Array& params,
                           const std::string& session_token = "");
 
-  /// Per-method call counts across both transports (system.stats exposes
-  /// this; counted before authentication, so rejected calls count too).
-  std::map<std::string, std::uint64_t> method_stats() const;
-
   /// Starts serving over TCP; returns the bound port.
   Result<std::uint16_t> serve(std::uint16_t port = 0);
   void stop();
@@ -82,9 +80,8 @@ class ClarensHost {
   std::string name_;
   const Clock& clock_;
   HostOptions options_;
+  telemetry::RegistryRef metrics_;
   std::shared_ptr<rpc::Dispatcher> dispatcher_;
-  mutable std::mutex stats_mutex_;  // server workers count concurrently
-  std::map<std::string, std::uint64_t> stats_;
   AuthService auth_;
   AccessControl acl_;
   ServiceRegistry registry_;

@@ -198,14 +198,16 @@ std::uint64_t StandbyReplica::stale_epoch_rejections() const {
 // --- LogShipper ------------------------------------------------------------
 
 LogShipper::LogShipper(std::string stream, ShipperOptions options)
-    : stream_(std::move(stream)), options_(std::move(options)) {
-  if (options_.metrics) {
-    lag_gauge_ = &options_.metrics->gauge("ha." + stream_ + ".replication_lag");
-    epoch_gauge_ = &options_.metrics->gauge("ha." + stream_ + ".epoch");
-    batches_counter_ = &options_.metrics->counter("ha." + stream_ + ".batches_shipped");
-    failures_counter_ = &options_.metrics->counter("ha." + stream_ + ".ship_failures");
-  }
-}
+    : stream_(std::move(stream)),
+      options_(std::move(options)),
+      metrics_(options_.metrics),
+      lag_gauge_(metrics_->gauge("ha." + stream_ + ".replication_lag")),
+      epoch_gauge_(metrics_->gauge("ha." + stream_ + ".epoch")),
+      batches_shipped_(metrics_->counter("ha." + stream_ + ".batches_shipped")),
+      records_shipped_(metrics_->counter("ha." + stream_ + ".records_shipped")),
+      snapshots_shipped_(metrics_->counter("ha." + stream_ + ".snapshots_shipped")),
+      ship_failures_(metrics_->counter("ha." + stream_ + ".ship_failures")),
+      resyncs_(metrics_->counter("ha." + stream_ + ".resyncs")) {}
 
 void LogShipper::add_standby(ShipperTransport* transport) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -221,7 +223,7 @@ void LogShipper::set_epoch(std::uint64_t epoch) {
   std::lock_guard<std::mutex> lock(mutex_);
   epoch_ = epoch;
   deposed_ = false;  // a freshly granted epoch is a legitimate new reign
-  if (epoch_gauge_) epoch_gauge_->set(static_cast<std::int64_t>(epoch));
+  epoch_gauge_.set(static_cast<std::int64_t>(epoch));
 }
 
 std::uint64_t LogShipper::epoch() const {
@@ -243,9 +245,7 @@ std::uint64_t LogShipper::min_acked_locked() const {
 }
 
 void LogShipper::update_lag_locked() {
-  if (lag_gauge_) {
-    lag_gauge_->set(static_cast<std::int64_t>(next_seq_ - min_acked_locked()));
-  }
+  lag_gauge_.set(static_cast<std::int64_t>(next_seq_ - min_acked_locked()));
 }
 
 Status LogShipper::resync_locked(Standby& standby) {
@@ -267,8 +267,8 @@ Status LogShipper::resync_locked(Standby& standby) {
   if (!ack.is_ok()) return ack.status();
   standby.acked_seq = ack.value().next_seq;
   standby.missed_snapshot = false;
-  ++stats_.snapshots_shipped;
-  ++stats_.resyncs;
+  snapshots_shipped_.inc();
+  resyncs_.inc();
   return Status::ok();
 }
 
@@ -302,9 +302,8 @@ Status LogShipper::ship_to_locked(Standby& standby) {
     return ack.status();
   }
   standby.acked_seq = ack.value().next_seq;
-  ++stats_.batches_shipped;
-  stats_.records_shipped += batch.records;
-  if (batches_counter_) batches_counter_->inc();
+  batches_shipped_.inc();
+  records_shipped_.inc(batch.records);
   return Status::ok();
 }
 
@@ -313,8 +312,7 @@ Status LogShipper::flush_locked() {
   for (Standby& standby : standbys_) {
     const Status s = ship_to_locked(standby);
     if (!s.is_ok()) {
-      ++stats_.ship_failures;
-      if (failures_counter_) failures_counter_->inc();
+      ship_failures_.inc();
       if (s.code() == StatusCode::kNotPrimary) {
         deposed_ = true;
         GAE_LOG_WARN << "ha: shipper for '" << stream_
@@ -387,12 +385,11 @@ Status LogShipper::ship_replace(const std::string& log_bytes) {
       if (ack.is_ok()) {
         standby.acked_seq = ack.value().next_seq;
         standby.missed_snapshot = false;
-        ++stats_.snapshots_shipped;
+        snapshots_shipped_.inc();
         continue;
       }
       standby.missed_snapshot = true;
-      ++stats_.ship_failures;
-      if (failures_counter_) failures_counter_->inc();
+      ship_failures_.inc();
       if (ack.status().code() == StatusCode::kNotPrimary) deposed_ = true;
       if (result.is_ok() || ack.status().code() == StatusCode::kNotPrimary) {
         result = ack.status();
@@ -436,11 +433,6 @@ std::uint64_t LogShipper::next_seq() const {
 std::uint64_t LogShipper::acked_seq() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return min_acked_locked();
-}
-
-ShipperStats LogShipper::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
 }
 
 // --- ReplicatedWalStorage --------------------------------------------------

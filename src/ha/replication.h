@@ -160,18 +160,12 @@ struct ShipperOptions {
   /// Stamped on every batch; becomes the standby's leader hint.
   std::string leader_host;
   std::uint16_t leader_port = 0;
-  /// Keeps ha.<stream>.{replication_lag,epoch} gauges and shipment counters
-  /// current. Must outlive the shipper.
+  /// Registry for the ha.<stream>.{replication_lag,epoch} gauges and the
+  /// ha.<stream>.{batches_shipped,records_shipped,snapshots_shipped,
+  /// ship_failures,resyncs} counters (resyncs: gap responses answered with a
+  /// full-log install); null = a registry the shipper owns. Must outlive the
+  /// shipper.
   telemetry::MetricsRegistry* metrics = nullptr;
-};
-
-struct ShipperStats {
-  std::uint64_t batches_shipped = 0;
-  std::uint64_t records_shipped = 0;
-  std::uint64_t snapshots_shipped = 0;
-  std::uint64_t ship_failures = 0;
-  /// Gap responses answered with a full-log resync.
-  std::uint64_t resyncs = 0;
 };
 
 /// The sending half: assigns each appended frame a sequence number, batches
@@ -218,7 +212,6 @@ class LogShipper {
   std::uint64_t next_seq() const;
   /// Lowest sequence every standby has acknowledged.
   std::uint64_t acked_seq() const;
-  ShipperStats stats() const;
 
  private:
   struct Standby {
@@ -251,11 +244,14 @@ class LogShipper {
   bool deposed_ = false;
   std::function<void()> on_deposed_;
   std::function<Result<std::string>()> resync_source_;
-  ShipperStats stats_;
-  telemetry::Gauge* lag_gauge_ = nullptr;
-  telemetry::Gauge* epoch_gauge_ = nullptr;
-  telemetry::Counter* batches_counter_ = nullptr;
-  telemetry::Counter* failures_counter_ = nullptr;
+  telemetry::RegistryRef metrics_;
+  telemetry::Gauge& lag_gauge_;
+  telemetry::Gauge& epoch_gauge_;
+  telemetry::Counter& batches_shipped_;
+  telemetry::Counter& records_shipped_;
+  telemetry::Counter& snapshots_shipped_;
+  telemetry::Counter& ship_failures_;
+  telemetry::Counter& resyncs_;
 };
 
 /// Test/bench transport: delivers straight into a StandbyReplica.

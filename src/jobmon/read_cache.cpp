@@ -4,14 +4,16 @@
 
 namespace gae::jobmon {
 
-ReadCache::ReadCache(ReadCacheOptions options) : options_(std::move(options)) {
+ReadCache::ReadCache(ReadCacheOptions options)
+    : options_(std::move(options)),
+      metrics_(options_.metrics),
+      counters_(*metrics_, "jobmon.cache") {
   if (options_.shards == 0) options_.shards = 1;
   if (!options_.now_us) options_.now_us = [] { return rpc::steady_now_us(); };
   shards_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  counters_ = telemetry::CacheCounters(options_.metrics, "jobmon.cache");
 }
 
 ReadCache::Shard& ReadCache::shard_for(const std::string& key) {
@@ -29,18 +31,16 @@ std::optional<rpc::Value> ReadCache::get(const std::string& key, bool brownout) 
     auto it = shard.entries.find(key);
     if (it != shard.entries.end()) {
       if (now - it->second.inserted_at_us <= ttl_us) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        counters_.hit();
+        counters_.hits.inc();
         return it->second.value;
       }
       // Expired under the applicable bound; erase so the shard never fills
       // with dead entries between sweeps.
       shard.entries.erase(it);
-      counters_.resized(-1);
+      counters_.entries.add(-1);
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  counters_.miss();
+  counters_.misses.inc();
   return std::nullopt;
 }
 
@@ -71,19 +71,18 @@ void ReadCache::put(const std::string& key, rpc::Value value) {
       dropped += shard.entries.size();
       shard.entries.clear();
     }
-    counters_.resized(-static_cast<std::int64_t>(dropped));
+    counters_.entries.add(-static_cast<std::int64_t>(dropped));
   }
   shard.entries.emplace(key, Entry{std::move(value), now});
-  counters_.resized(1);
+  counters_.entries.add(1);
 }
 
 void ReadCache::invalidate(const std::string& key) {
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   if (shard.entries.erase(key) > 0) {
-    invalidations_.fetch_add(1, std::memory_order_relaxed);
-    counters_.invalidated();
-    counters_.resized(-1);
+    counters_.invalidations.inc();
+    counters_.entries.add(-1);
   }
 }
 
@@ -101,18 +100,9 @@ void ReadCache::invalidate_all() {
     shard->entries.clear();
   }
   if (dropped > 0) {
-    invalidations_.fetch_add(dropped, std::memory_order_relaxed);
-    counters_.invalidated(dropped);
-    counters_.resized(-static_cast<std::int64_t>(dropped));
+    counters_.invalidations.inc(dropped);
+    counters_.entries.add(-static_cast<std::int64_t>(dropped));
   }
-}
-
-ReadCache::Stats ReadCache::stats() const {
-  Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.invalidations = invalidations_.load(std::memory_order_relaxed);
-  return s;
 }
 
 std::size_t ReadCache::size() const {

@@ -18,7 +18,6 @@
 // concurrent RPC workers do not serialise on one cache lock.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -48,8 +47,9 @@ struct ReadCacheOptions {
   /// Monotonic time source in µs; null = rpc::steady_now_us. Tests inject
   /// a manual one to step TTLs deterministically.
   std::function<std::int64_t()> now_us;
-  /// When set, the cache keeps jobmon.cache.{hits,misses,invalidations}
-  /// counters and a jobmon.cache.entries gauge. Must outlive the cache.
+  /// Registry for the cache's jobmon.cache.{hits,misses,invalidations}
+  /// counters and jobmon.cache.entries gauge; null = a registry the cache
+  /// owns. Must outlive the cache.
   telemetry::MetricsRegistry* metrics = nullptr;
 };
 
@@ -79,12 +79,6 @@ class ReadCache {
   }
   static constexpr const char* kListKey = "list";
 
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t invalidations = 0;  // entries actually dropped
-  };
-  Stats stats() const;
   std::size_t size() const;
 
  private:
@@ -101,12 +95,9 @@ class ReadCache {
 
   ReadCacheOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> invalidations_{0};
-
-  telemetry::CacheCounters counters_;  // jobmon.cache.*
+  telemetry::RegistryRef metrics_;
+  /// jobmon.cache.*; invalidations counts entries actually dropped.
+  telemetry::CacheCounters counters_;
 };
 
 }  // namespace gae::jobmon

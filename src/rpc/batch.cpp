@@ -66,11 +66,8 @@ std::vector<Result<Value>> RpcClient::call_many(const std::vector<BatchItem>& it
 
   auto batched = call("rpc.batch", Array{Value(std::move(embedded))}, batch_options);
   if (batched.is_ok()) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.batches;
-      stats_.batched_items += items.size();
-    }
+    totals_.batches.inc();
+    totals_.batched_items.inc(items.size());
     const Value& body = batched.value();
     for (std::size_t i = 0; i < items.size(); ++i) {
       if (!body.is_array() || i >= body.as_array().size()) {

@@ -54,9 +54,27 @@ RpcClient::RpcClient(std::string host, std::uint16_t port, Protocol protocol)
     : RpcClient(std::vector<Endpoint>{{std::move(host), port}}, protocol,
                 legacy_options()) {}
 
+RpcClient::Totals::Totals(telemetry::MetricsRegistry& metrics)
+    : calls(metrics.counter("rpc.client.calls")),
+      attempts(metrics.counter("rpc.client.attempts")),
+      failovers(metrics.counter("rpc.client.failovers")),
+      deadline_exceeded(metrics.counter("rpc.client.deadline_exceeded")),
+      breaker_rejections(metrics.counter("rpc.client.breaker_rejections")),
+      failed_calls(metrics.counter("rpc.client.failed_calls")),
+      reresolves(metrics.counter("rpc.client.reresolves")),
+      retry_budget_exhausted(metrics.counter("rpc.client.retry_budget_exhausted")),
+      shed_rejections(metrics.counter("rpc.client.shed_rejections")),
+      not_primary_redirects(metrics.counter("rpc.client.not_primary_redirects")),
+      batches(metrics.counter("rpc.client.batches")),
+      batched_items(metrics.counter("rpc.client.batched_items")) {}
+
 RpcClient::RpcClient(std::vector<Endpoint> endpoints, Protocol protocol,
                      ClientOptions options)
-    : protocol_(protocol), options_(std::move(options)), endpoints_(std::move(endpoints)) {
+    : protocol_(protocol),
+      options_(std::move(options)),
+      metrics_(options_.metrics),
+      totals_(*metrics_),
+      endpoints_(std::move(endpoints)) {
   if (options_.clock) {
     clock_ptr_ = options_.clock;
   } else {
@@ -73,7 +91,7 @@ RpcClient::RpcClient(std::vector<Endpoint> endpoints, Protocol protocol,
   } else {
     PoolOptions pool_options = options_.pool;
     if (!pool_options.clock) pool_options.clock = clock_ptr_;
-    if (!pool_options.metrics) pool_options.metrics = options_.metrics;
+    if (!pool_options.metrics) pool_options.metrics = metrics_.get();
     if (!pool_options.transport) pool_options.transport = options_.transport;
     pool_ = std::make_shared<ConnectionPool>(pool_options);
   }
@@ -86,21 +104,19 @@ RpcClient::RpcClient(std::vector<Endpoint> endpoints, Protocol protocol,
 
 void RpcClient::count_endpoint(std::size_t index,
                                telemetry::Counter* EndpointCounters::*what) {
-  if (index >= endpoint_counters_.size()) return;
-  if (telemetry::Counter* c = endpoint_counters_[index].*what) c->inc();
+  if (index < endpoint_counters_.size()) (endpoint_counters_[index].*what)->inc();
 }
 
 void RpcClient::arm_endpoint_counters() {
   endpoint_counters_.assign(endpoints_.size(), EndpointCounters{});
-  if (!options_.metrics) return;
   for (std::size_t i = 0; i < endpoints_.size(); ++i) {
     const std::string prefix =
         "rpc.client." + endpoints_[i].host + ":" + std::to_string(endpoints_[i].port) + ".";
     EndpointCounters& ec = endpoint_counters_[i];
-    ec.attempts = &options_.metrics->counter(prefix + "attempts");
-    ec.retries = &options_.metrics->counter(prefix + "retries");
-    ec.breaker_transitions = &options_.metrics->counter(prefix + "breaker_transitions");
-    ec.breaker_open = &options_.metrics->counter(prefix + "breaker_open");
+    ec.attempts = &metrics_->counter(prefix + "attempts");
+    ec.retries = &metrics_->counter(prefix + "retries");
+    ec.breaker_transitions = &metrics_->counter(prefix + "breaker_transitions");
+    ec.breaker_open = &metrics_->counter(prefix + "breaker_open");
   }
 }
 
@@ -175,8 +191,8 @@ void RpcClient::maybe_re_resolve() {
   // run it unlocked so concurrent calls are not serialised behind it.
   auto fresh = options_.resolve_endpoints();
   if (fresh.empty()) return;
+  totals_.reresolves.inc();
   std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.reresolves;
   set_endpoints_locked(std::move(fresh));
 }
 
@@ -197,11 +213,6 @@ Endpoint RpcClient::endpoint(std::size_t index) const {
   return endpoints_.at(index);
 }
 
-RpcClientStats RpcClient::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
 int RpcClient::remaining_ms(SimTime deadline) const {
   return static_cast<int>((deadline - clock().now()) / 1000);
 }
@@ -219,6 +230,7 @@ Result<RpcClient::Checkout> RpcClient::acquire_connection() {
   for (std::size_t k = 0;; ++k) {
     Endpoint target;
     std::size_t index = 0;
+    EndpointCounters counters;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (k >= endpoints_.size()) break;
@@ -226,6 +238,7 @@ Result<RpcClient::Checkout> RpcClient::acquire_connection() {
       if (!breakers_[index]->allow()) continue;
       any_admitted = true;
       target = endpoints_[index];
+      counters = endpoint_counters_[index];
     }
     auto conn = pool_->checkout(target.host, target.port);
     if (!conn.is_ok()) {
@@ -234,11 +247,10 @@ Result<RpcClient::Checkout> RpcClient::acquire_connection() {
       last = conn.status();
       continue;
     }
-    return Checkout{std::move(conn).value(), index};
+    return Checkout{std::move(conn).value(), index, counters};
   }
   if (!any_admitted) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.breaker_rejections;
+    totals_.breaker_rejections.inc();
     return unavailable_error("circuit open: every endpoint is rejecting calls");
   }
   return last;
@@ -250,10 +262,7 @@ Result<Value> RpcClient::call(const std::string& method, const Array& params) {
 
 Result<Value> RpcClient::call(const std::string& method, const Array& params,
                               const CallOptions& options) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.calls;
-  }
+  totals_.calls.inc();
   // Fresh traffic funds the retry budget; the deposit happens whether or
   // not this call ever retries.
   if (options.retry.budget) options.retry.budget->on_request();
@@ -270,9 +279,8 @@ Result<Value> RpcClient::call(const std::string& method, const Array& params,
   int effective_deadline_ms = options.deadline_ms;
   const int ambient_rem = ambient_deadline_remaining_ms();
   if (ambient_rem == 0) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.deadline_exceeded;
-    ++stats_.failed_calls;
+    totals_.deadline_exceeded.inc();
+    totals_.failed_calls.inc();
     const Status s =
         deadline_exceeded_error("ambient deadline expired before call: " + method);
     if (span) span->set_status(s.code());
@@ -297,10 +305,7 @@ Result<Value> RpcClient::call(const std::string& method, const Array& params,
         call_attempt(method, params, deadline, options.tier, wrote_request, attempt_index);
     if (result.is_ok()) return result;
     last = result.status();
-    if (last.code() == StatusCode::kDeadlineExceeded) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.deadline_exceeded;
-    }
+    if (last.code() == StatusCode::kDeadlineExceeded) totals_.deadline_exceeded.inc();
 
     // A NOT_PRIMARY fault is an answer from a healthy replica, not an
     // outage: the endpoint's breaker is not charged (call_attempt already
@@ -312,8 +317,8 @@ Result<Value> RpcClient::call(const std::string& method, const Array& params,
       std::uint16_t leader_port = 0;
       if (redirects < 2 && parse_leader_hint(last.message(), leader_host, leader_port)) {
         ++redirects;
+        totals_.not_primary_redirects.inc();
         std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.not_primary_redirects;
         std::vector<Endpoint> reordered;
         reordered.push_back({leader_host, leader_port});
         for (const auto& e : endpoints_) {
@@ -343,8 +348,7 @@ Result<Value> RpcClient::call(const std::string& method, const Array& params,
       const int rem = remaining_ms(deadline);
       if (rem <= 1) {
         // No room for even a minimal next attempt.
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.deadline_exceeded;
+        totals_.deadline_exceeded.inc();
         last = deadline_exceeded_error("deadline budget exhausted after " +
                                        std::to_string(attempt) + " attempt(s): " + method);
         break;
@@ -356,23 +360,18 @@ Result<Value> RpcClient::call(const std::string& method, const Array& params,
       if (backoff >= rem) backoff = rem - 1;
     }
     if (options.retry.budget && !options.retry.budget->try_retry()) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.retry_budget_exhausted;
+      totals_.retry_budget_exhausted.inc();
       last = resource_exhausted_error("retry budget exhausted for " + method + ": " +
                                       last.message());
       break;
     }
     {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.retries;
+      std::lock_guard<std::mutex> lock(mutex_);  // guards endpoint_counters_
       count_endpoint(attempt_index, &EndpointCounters::retries);
     }
     if (backoff > 0) options_.sleep_ms(backoff);
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.failed_calls;
-  }
+  totals_.failed_calls.inc();
   if (span) span->set_status(last.code());
   return last;
 }
@@ -380,20 +379,14 @@ Result<Value> RpcClient::call(const std::string& method, const Array& params,
 Result<Value> RpcClient::call_attempt(const std::string& method, const Array& params,
                                       SimTime deadline, Criticality tier,
                                       bool& wrote_request, std::size_t& attempt_index) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.attempts;
-  }
+  totals_.attempts.inc();
   auto acquired = acquire_connection();
   if (!acquired.is_ok()) return acquired.status();
   Checkout checkout = std::move(acquired).value();
   const std::size_t index = checkout.index;
   attempt_index = index;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (index != 0) ++stats_.failovers;
-    count_endpoint(index, &EndpointCounters::attempts);
-  }
+  if (index != 0) totals_.failovers.inc();
+  checkout.counters.attempts->inc();
 
   // Bookkeeping for the wire outcome: success parks the connection for the
   // next caller and re-anchors the sticky preference; failure closes it and
@@ -483,10 +476,7 @@ Result<Value> RpcClient::call_attempt(const std::string& method, const Array& pa
     // our own protocol; prefer its message, but classify the response as
     // retryable-with-backoff even if the body is unparseable — a shed is
     // load feedback, never a protocol error.
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.shed_rejections;
-    }
+    totals_.shed_rejections.inc();
     if (protocol_ == Protocol::kJsonRpc) {
       auto decoded = jsonrpc::decode_response(resp.body);
       if (decoded.is_ok() && decoded.value().is_fault) {

@@ -106,9 +106,11 @@ struct ClientOptions {
   std::function<void(const Endpoint&, CircuitBreaker::State from,
                      CircuitBreaker::State to)>
       on_breaker_transition;
-  /// When set, the client keeps per-endpoint rpc.client.<host:port>.*
-  /// attempt / retry / failure / breaker-transition counters (and the pool
-  /// keeps rpc.pool.* counters). Must outlive the client.
+  /// Registry for the client's counters; null = a registry the client owns.
+  /// It holds the rpc.client.* totals (calls, attempts, failed_calls, ...)
+  /// and per-endpoint rpc.client.<host:port>.{attempts,retries,
+  /// breaker_transitions,breaker_open}; a private pool counts its rpc.pool.*
+  /// here too. Must outlive the client.
   telemetry::MetricsRegistry* metrics = nullptr;
   /// When set, every call records one "client" span (child of the ambient
   /// thread context) to this tracer. Trace context is injected on the wire
@@ -117,32 +119,6 @@ struct ClientOptions {
   telemetry::Tracer* tracer = nullptr;
   /// Service name stamped on client spans.
   std::string trace_service = "rpc-client";
-};
-
-/// Counters exposed for monitoring (published to MonALISA by callers).
-struct RpcClientStats {
-  std::uint64_t calls = 0;
-  std::uint64_t attempts = 0;
-  std::uint64_t retries = 0;
-  /// Attempts served by an endpoint other than the first in the list.
-  std::uint64_t failovers = 0;
-  std::uint64_t deadline_exceeded = 0;
-  /// Attempts rejected locally because every endpoint's breaker was open.
-  std::uint64_t breaker_rejections = 0;
-  /// Calls that exhausted all attempts (or were non-retryable).
-  std::uint64_t failed_calls = 0;
-  /// Times the endpoint list was refreshed via resolve_endpoints.
-  std::uint64_t reresolves = 0;
-  /// Retries suppressed because the shared RetryBudget was out of tokens.
-  std::uint64_t retry_budget_exhausted = 0;
-  /// 503 responses (the server shed the request under admission control).
-  std::uint64_t shed_rejections = 0;
-  /// NOT_PRIMARY faults whose "leader=host:port" hint was followed (the
-  /// endpoint list was re-ordered and the call re-sent to the leader).
-  std::uint64_t not_primary_redirects = 0;
-  /// Batches coalesced by call_many (items ride in batched_items).
-  std::uint64_t batches = 0;
-  std::uint64_t batched_items = 0;
 };
 
 class RpcClient {
@@ -186,8 +162,8 @@ class RpcClient {
   /// next call dials fresh).
   void disconnect();
 
-  /// Point-in-time copy of the counters.
-  RpcClientStats stats() const;
+  /// The registry the client counts into (injected or owned).
+  telemetry::MetricsRegistry& metrics() const { return *metrics_; }
 
   /// Breaker state for endpoint `index` (construction order).
   CircuitBreaker::State breaker_state(std::size_t index) const;
@@ -205,8 +181,7 @@ class RpcClient {
  private:
   /// Pre-resolved rpc.client.<host:port>.* counter handles for one endpoint,
   /// armed when the endpoint list is (re)built so the call hot path records
-  /// without building metric names or taking registry locks. All null when
-  /// no metrics registry is configured.
+  /// without building metric names or taking registry locks.
   struct EndpointCounters {
     telemetry::Counter* attempts = nullptr;
     telemetry::Counter* retries = nullptr;
@@ -214,14 +189,42 @@ class RpcClient {
     telemetry::Counter* breaker_open = nullptr;
   };
 
-  /// A checked-out connection plus the endpoint index it belongs to.
+  /// The client-wide rpc.client.<name> totals, resolved at construction.
+  /// None ends in ".retries": retries are counted per endpoint only, and
+  /// readers sum rpc.client.*.retries.
+  struct Totals {
+    explicit Totals(telemetry::MetricsRegistry& metrics);
+    telemetry::Counter& calls;
+    telemetry::Counter& attempts;
+    /// Attempts served by an endpoint other than the first in the list.
+    telemetry::Counter& failovers;
+    telemetry::Counter& deadline_exceeded;
+    /// Attempts rejected locally because every endpoint's breaker was open.
+    telemetry::Counter& breaker_rejections;
+    /// Calls that exhausted all attempts (or were non-retryable).
+    telemetry::Counter& failed_calls;
+    /// Times the endpoint list was refreshed via resolve_endpoints.
+    telemetry::Counter& reresolves;
+    /// Retries suppressed because the shared RetryBudget was out of tokens.
+    telemetry::Counter& retry_budget_exhausted;
+    /// 503 responses (the server shed the request under admission control).
+    telemetry::Counter& shed_rejections;
+    /// NOT_PRIMARY faults whose "leader=host:port" hint was followed.
+    telemetry::Counter& not_primary_redirects;
+    /// Batches coalesced by call_many (items ride in batched_items).
+    telemetry::Counter& batches;
+    telemetry::Counter& batched_items;
+  };
+
+  /// A checked-out connection plus the endpoint it belongs to.
   struct Checkout {
     ConnectionPool::Conn conn;
     std::size_t index = 0;
+    EndpointCounters counters;
   };
 
   /// Bumps the given cached counter for endpoint `index`. Caller holds
-  /// mutex_ (no-op without a metrics registry).
+  /// mutex_.
   void count_endpoint(std::size_t index, telemetry::Counter* EndpointCounters::*what);
   /// Rebuilds endpoint_counters_ to mirror endpoints_. Caller holds mutex_.
   void arm_endpoint_counters();
@@ -251,6 +254,8 @@ class RpcClient {
   ClientOptions options_;
   std::shared_ptr<Clock> owned_clock_;  // when no clock injected
   const Clock* clock_ptr_ = nullptr;
+  telemetry::RegistryRef metrics_;  // declared before pool_: a private pool counts here
+  Totals totals_;
   std::shared_ptr<ConnectionPool> pool_;
   std::string session_token_;
   std::atomic<std::int64_t> next_id_{1};
@@ -265,7 +270,6 @@ class RpcClient {
   /// attempt (the sticky-endpoint fix — previously every reconnect walked
   /// from index 0 and a flapping primary stole traffic back mid-burst).
   std::size_t preferred_endpoint_ = 0;
-  RpcClientStats stats_;
 };
 
 }  // namespace gae::rpc

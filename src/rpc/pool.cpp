@@ -10,7 +10,16 @@ std::string endpoint_key(const std::string& host, std::uint16_t port) {
 
 }  // namespace
 
-ConnectionPool::ConnectionPool(PoolOptions options) : options_(options) {
+ConnectionPool::ConnectionPool(PoolOptions options)
+    : options_(options),
+      metrics_(options_.metrics),
+      dials_(metrics_->counter("rpc.pool.dials")),
+      reuses_(metrics_->counter("rpc.pool.reuses")),
+      health_evictions_(metrics_->counter("rpc.pool.health_evictions")),
+      idle_reaped_(metrics_->counter("rpc.pool.idle_reaped")),
+      discards_(metrics_->counter("rpc.pool.discards")),
+      overflow_(metrics_->counter("rpc.pool.overflow")),
+      idle_gauge_(metrics_->gauge("rpc.pool.idle")) {
   if (options_.clock) {
     clock_ = options_.clock;
   } else {
@@ -18,18 +27,6 @@ ConnectionPool::ConnectionPool(PoolOptions options) : options_(options) {
     clock_ = owned_clock_.get();
   }
   transport_ = options_.transport ? options_.transport : &tcp_transport();
-  arm_metrics();
-}
-
-void ConnectionPool::arm_metrics() {
-  if (!options_.metrics) return;
-  m_dials_ = &options_.metrics->counter("rpc.pool.dials");
-  m_reuses_ = &options_.metrics->counter("rpc.pool.reuses");
-  m_health_evictions_ = &options_.metrics->counter("rpc.pool.health_evictions");
-  m_idle_reaped_ = &options_.metrics->counter("rpc.pool.idle_reaped");
-  m_discards_ = &options_.metrics->counter("rpc.pool.discards");
-  m_overflow_ = &options_.metrics->counter("rpc.pool.overflow");
-  m_idle_gauge_ = &options_.metrics->gauge("rpc.pool.idle");
 }
 
 Result<ConnectionPool::Conn> ConnectionPool::checkout(const std::string& host,
@@ -46,15 +43,13 @@ Result<ConnectionPool::Conn> ConnectionPool::checkout(const std::string& host,
     while (!pool.idle.empty()) {
       IdleConn parked = std::move(pool.idle.back());
       pool.idle.pop_back();
-      if (m_idle_gauge_) m_idle_gauge_->add(-1);
+      idle_gauge_.add(-1);
       if (options_.health_check && !parked.stream->healthy()) {
-        ++stats_.health_evictions;
-        if (m_health_evictions_) m_health_evictions_->inc();
+        health_evictions_.inc();
         continue;  // destructor closes the dead socket
       }
       ++pool.checked_out;
-      ++stats_.reuses;
-      if (m_reuses_) m_reuses_->inc();
+      reuses_.inc();
       Conn conn;
       conn.stream = std::move(parked.stream);
       conn.key = key;
@@ -63,8 +58,7 @@ Result<ConnectionPool::Conn> ConnectionPool::checkout(const std::string& host,
     }
     if (pool.checked_out >= options_.max_size) {
       overflow = true;
-      ++stats_.overflow;
-      if (m_overflow_) m_overflow_->inc();
+      overflow_.inc();
     } else {
       ++pool.checked_out;  // reserve the slot before the unlocked dial
     }
@@ -78,11 +72,7 @@ Result<ConnectionPool::Conn> ConnectionPool::checkout(const std::string& host,
     }
     return stream.status();
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.dials;
-  }
-  if (m_dials_) m_dials_->inc();
+  dials_.inc();
   Conn conn;
   conn.stream = std::move(stream).value();
   conn.stream->set_no_delay(true);
@@ -99,27 +89,25 @@ void ConnectionPool::checkin(Conn conn) {
   if (!conn.overflow && pool.checked_out > 0) --pool.checked_out;
   reap_idle_locked(now);
   if (conn.overflow || pool.idle.size() >= options_.max_idle) {
-    ++stats_.discards;
-    if (m_discards_) m_discards_->inc();
+    discards_.inc();
     return;  // destructor closes it
   }
   pool.idle.push_back({std::move(conn.stream), now});
-  if (m_idle_gauge_) m_idle_gauge_->add(1);
+  idle_gauge_.add(1);
 }
 
 void ConnectionPool::discard(Conn conn) {
   std::lock_guard<std::mutex> lock(mutex_);
   EndpointPool& pool = pools_[conn.key];
   if (!conn.overflow && pool.checked_out > 0) --pool.checked_out;
-  ++stats_.discards;
-  if (m_discards_) m_discards_->inc();
+  discards_.inc();
   // conn.stream closes as the argument goes out of scope.
 }
 
 void ConnectionPool::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [key, pool] : pools_) {
-    if (m_idle_gauge_) m_idle_gauge_->add(-static_cast<std::int64_t>(pool.idle.size()));
+    idle_gauge_.add(-static_cast<std::int64_t>(pool.idle.size()));
     pool.idle.clear();
   }
 }
@@ -139,9 +127,8 @@ void ConnectionPool::reap_idle_locked(SimTime now) {
   for (auto& [key, pool] : pools_) {
     while (!pool.idle.empty() && now - pool.idle.front().parked_at > cutoff_age) {
       pool.idle.pop_front();
-      ++stats_.idle_reaped;
-      if (m_idle_reaped_) m_idle_reaped_->inc();
-      if (m_idle_gauge_) m_idle_gauge_->add(-1);
+      idle_reaped_.inc();
+      idle_gauge_.add(-1);
     }
   }
 }
@@ -156,11 +143,6 @@ std::size_t ConnectionPool::live_count(const std::string& host, std::uint16_t po
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = pools_.find(endpoint_key(host, port));
   return it == pools_.end() ? 0 : it->second.idle.size() + it->second.checked_out;
-}
-
-PoolStats ConnectionPool::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
 }
 
 }  // namespace gae::rpc

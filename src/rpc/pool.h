@@ -46,20 +46,10 @@ struct PoolOptions {
   /// transport. The simulation harness injects its SimTransport here. Must
   /// outlive the pool.
   Transport* transport = nullptr;
-  /// When set, the pool keeps rpc.pool.{dials,reuses,health_evictions,
-  /// idle_reaped,discards,overflow} counters and an rpc.pool.idle gauge.
-  /// Must outlive the pool.
+  /// Registry for the pool's rpc.pool.{dials,reuses,health_evictions,
+  /// idle_reaped,discards,overflow} counters and rpc.pool.idle gauge; null =
+  /// a registry the pool owns. Must outlive the pool.
   telemetry::MetricsRegistry* metrics = nullptr;
-};
-
-/// Counters exposed for monitoring and tests.
-struct PoolStats {
-  std::uint64_t dials = 0;            // fresh connections established
-  std::uint64_t reuses = 0;           // checkouts served from the idle list
-  std::uint64_t health_evictions = 0; // idle conns found dead/desynced at checkout
-  std::uint64_t idle_reaped = 0;      // idle conns dropped by the idle timeout
-  std::uint64_t discards = 0;         // checked-out conns returned broken
-  std::uint64_t overflow = 0;         // checkouts dialled beyond max_size
 };
 
 class ConnectionPool {
@@ -106,7 +96,8 @@ class ConnectionPool {
   /// Idle + checked-out connections for one endpoint.
   std::size_t live_count(const std::string& host, std::uint16_t port) const;
 
-  PoolStats stats() const;
+  /// The registry the pool counts into (injected or owned).
+  telemetry::MetricsRegistry& metrics() const { return *metrics_; }
 
  private:
   struct IdleConn {
@@ -119,25 +110,24 @@ class ConnectionPool {
   };
 
   void reap_idle_locked(SimTime now);
-  void arm_metrics();
 
   PoolOptions options_;
   std::shared_ptr<Clock> owned_clock_;  // when no clock injected
   const Clock* clock_ = nullptr;
   Transport* transport_ = nullptr;
 
+  telemetry::RegistryRef metrics_;
+  telemetry::Counter& dials_;
+  telemetry::Counter& reuses_;
+  telemetry::Counter& health_evictions_;
+  telemetry::Counter& idle_reaped_;
+  telemetry::Counter& discards_;
+  telemetry::Counter& overflow_;
+  telemetry::Gauge& idle_gauge_;
+
   mutable std::mutex mutex_;
   std::map<std::string, EndpointPool> pools_;
-  PoolStats stats_;
   SimTime last_reap_ = 0;
-
-  telemetry::Counter* m_dials_ = nullptr;
-  telemetry::Counter* m_reuses_ = nullptr;
-  telemetry::Counter* m_health_evictions_ = nullptr;
-  telemetry::Counter* m_idle_reaped_ = nullptr;
-  telemetry::Counter* m_discards_ = nullptr;
-  telemetry::Counter* m_overflow_ = nullptr;
-  telemetry::Gauge* m_idle_gauge_ = nullptr;
 };
 
 }  // namespace gae::rpc

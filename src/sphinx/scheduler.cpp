@@ -49,17 +49,17 @@ double SphinxScheduler::site_backlog_seconds(const SiteBinding& binding,
                                              int priority) const {
   if (!binding.exec) return 0.0;
   double backlog = 0.0;
-  for (const exec::TaskInfo& t : binding.exec->list_tasks()) {
-    if (exec::is_terminal(t.state) || t.state == exec::TaskState::kSuspended) continue;
+  binding.exec->for_each_task([&](const exec::ExecutionService::TaskView& t) {
+    if (exec::is_terminal(t.state) || t.state == exec::TaskState::kSuspended) return;
     // A newly submitted task queues behind running work, higher priorities,
     // and equal priorities already in the queue (FIFO).
     const bool occupies_node =
         t.state == exec::TaskState::kRunning || t.state == exec::TaskState::kStaging;
-    if (!occupies_node && t.spec.priority < priority) continue;
+    if (!occupies_node && t.spec.priority < priority) return;
     const double estimated =
         estimate_db_->get(t.spec.id).value_or(options_.fallback_runtime_seconds);
     backlog += std::max(0.0, estimated - t.cpu_seconds_used);
-  }
+  });
   const auto nodes = grid_.site(binding.exec->site()).node_count();
   return backlog / static_cast<double>(std::max<std::size_t>(1, nodes));
 }

@@ -16,11 +16,15 @@ const char* scrub_verdict_name(ScrubVerdict verdict) {
 }
 
 Scrubber::Scrubber(const Clock& clock, ScrubberOptions options)
-    : clock_(clock), options_(options) {}
+    : clock_(clock), options_(options), metrics_(options_.metrics) {}
 
 void Scrubber::add_target(ScrubTarget target) {
   if (!target.storage) return;
+  const std::string prefix = "wal." + target.stream + ".scrub.";
   Target entry;
+  entry.runs = &metrics_->counter(prefix + "runs");
+  entry.frames = &metrics_->counter(prefix + "frames");
+  entry.corrupt = &metrics_->counter(prefix + "corrupt");
   entry.target = std::move(target);
   targets_[entry.target.stream] = std::move(entry);
 }
@@ -28,7 +32,7 @@ void Scrubber::add_target(ScrubTarget target) {
 ScrubReport Scrubber::scrub_target(Target& entry) {
   const ScrubTarget& t = entry.target;
   entry.last_scrub = clock_.now();
-  ++stats_.scrubs;
+  entry.runs->inc();
 
   ScrubReport report;
   report.stream = t.stream;
@@ -36,10 +40,7 @@ ScrubReport Scrubber::scrub_target(Target& entry) {
   auto bytes = t.storage->read_all();
   if (!bytes.is_ok()) {
     report.verdict = ScrubVerdict::kCorrupt;
-    ++stats_.corruptions_found;
-    if (options_.metrics) {
-      options_.metrics->counter("wal." + t.stream + ".scrub.corrupt").inc();
-    }
+    entry.corrupt->inc();
     if (t.health) t.health->quarantine("scrub read error: " + bytes.status().message());
     return report;
   }
@@ -48,11 +49,7 @@ ScrubReport Scrubber::scrub_target(Target& entry) {
   const WalReadResult decoded = Wal::decode(bytes.value());
   report.frames = decoded.records.size();
   report.damaged_bytes = report.bytes - decoded.valid_bytes;
-  stats_.frames_verified += decoded.records.size();
-  if (options_.metrics) {
-    options_.metrics->counter("wal." + t.stream + ".scrub.frames")
-        .inc(decoded.records.size());
-  }
+  entry.frames->inc(decoded.records.size());
 
   if (decoded.corrupt) {
     report.verdict = ScrubVerdict::kCorrupt;
@@ -63,10 +60,7 @@ ScrubReport Scrubber::scrub_target(Target& entry) {
       report.verdict == ScrubVerdict::kCorrupt ||
       (report.verdict == ScrubVerdict::kTornTail && options_.quarantine_on_torn_tail);
   if (damage) {
-    ++stats_.corruptions_found;
-    if (options_.metrics) {
-      options_.metrics->counter("wal." + t.stream + ".scrub.corrupt").inc();
-    }
+    entry.corrupt->inc();
     GAE_LOG_ERROR << "scrub: stream '" << t.stream << "' "
                   << scrub_verdict_name(report.verdict) << " (" << report.frames
                   << " clean frames, " << report.damaged_bytes << " damaged bytes)";
@@ -112,12 +106,7 @@ std::size_t Scrubber::tick() {
 }
 
 void Scrubber::note_repaired(const std::string& stream) {
-  ++stats_.repairs_noted;
-  if (options_.metrics) {
-    options_.metrics->counter("wal." + stream + ".scrub.repaired").inc();
-  }
+  metrics_->counter("wal." + stream + ".scrub.repaired").inc();
 }
-
-ScrubberStats Scrubber::stats() const { return stats_; }
 
 }  // namespace gae::storage

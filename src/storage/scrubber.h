@@ -55,7 +55,9 @@ struct ScrubberOptions {
   /// is a latched torn append, not a crash artifact, and the standby holds
   /// the complete log.
   bool quarantine_on_torn_tail = true;
-  /// wal.<stream>.scrub.{frames,corrupt,repaired} counters land here.
+  /// Registry for the per-stream wal.<stream>.scrub.{runs,frames,corrupt,
+  /// repaired} counters; null = a registry the scrubber owns. Must outlive
+  /// the scrubber.
   telemetry::MetricsRegistry* metrics = nullptr;
 };
 
@@ -65,13 +67,6 @@ struct ScrubReport {
   std::size_t frames = 0;         // frames verified in the valid prefix
   std::size_t bytes = 0;          // total log bytes read
   std::size_t damaged_bytes = 0;  // bytes past the valid prefix
-};
-
-struct ScrubberStats {
-  std::uint64_t scrubs = 0;
-  std::uint64_t frames_verified = 0;
-  std::uint64_t corruptions_found = 0;
-  std::uint64_t repairs_noted = 0;
 };
 
 class Scrubber {
@@ -97,20 +92,22 @@ class Scrubber {
   /// repair recipe calls this so detection and healing share a series).
   void note_repaired(const std::string& stream);
 
-  ScrubberStats stats() const;
-
  private:
   struct Target {
     ScrubTarget target;
     SimTime last_scrub = kSimTimeNever;
+    /// wal.<stream>.scrub.*, resolved when the target is added.
+    telemetry::Counter* runs = nullptr;
+    telemetry::Counter* frames = nullptr;
+    telemetry::Counter* corrupt = nullptr;
   };
 
   ScrubReport scrub_target(Target& entry);
 
   const Clock& clock_;
   ScrubberOptions options_;
+  telemetry::RegistryRef metrics_;
   std::map<std::string, Target> targets_;
-  ScrubberStats stats_;
 };
 
 }  // namespace gae::storage

@@ -4,6 +4,19 @@
 
 namespace gae::supervision {
 
+Supervisor::Supervisor(const Clock& clock, SupervisorOptions options,
+                       monalisa::Repository* monitoring, telemetry::MetricsRegistry* metrics)
+    : clock_(clock),
+      options_(options),
+      monitoring_(monitoring),
+      metrics_(metrics),
+      deaths_(metrics_->counter("supervision.deaths")),
+      restart_attempts_(metrics_->counter("supervision.restart_attempts")),
+      restarts_succeeded_(metrics_->counter("supervision.restarts_succeeded")),
+      restarts_failed_(metrics_->counter("supervision.restarts_failed")),
+      gave_up_(metrics_->counter("supervision.gave_up")),
+      quarantined_count_(metrics_->counter("supervision.quarantined")) {}
+
 void Supervisor::manage(SupervisedService service) {
   services_[service.name] = std::move(service);
 }
@@ -15,15 +28,10 @@ void Supervisor::attach(FailureDetector& detector) {
   });
 }
 
-void Supervisor::count(const char* what) {
-  if (metrics_) metrics_->counter(std::string("supervision.") + what).inc();
-}
-
 void Supervisor::on_service_dead(const std::string& name) {
   if (!services_.count(name)) return;  // not ours to restart
   if (quarantined_.count(name)) return;  // parked until release()
-  ++stats_.deaths_seen;
-  count("deaths");
+  deaths_.inc();
   if (pending_.count(name)) return;  // restart already scheduled
   Pending p;
   p.attempt = 1;
@@ -53,11 +61,8 @@ std::size_t Supervisor::tick() {
         // Crash loop: the recipe keeps running but the service keeps dying.
         // Park it — flapping forever burns the ensemble and hides the fault.
         quarantined_.insert(name);
-        ++stats_.quarantined;
-        count("quarantined");
-        if (metrics_) {
-          metrics_->counter("supervision." + name + ".quarantined").inc();
-        }
+        quarantined_count_.inc();
+        metrics_->counter("supervision." + name + ".quarantined").inc();
         publish_event(name, "quarantined");
         GAE_LOG_ERROR << "supervisor: " << name << " crash-looping ("
                       << history.size() << " restarts inside "
@@ -68,12 +73,10 @@ std::size_t Supervisor::tick() {
       }
       history.push_back(now);
     }
-    ++stats_.restart_attempts;
-    count("restart_attempts");
+    restart_attempts_.inc();
     const Status s = services_[name].restart();
     if (s.is_ok()) {
-      ++stats_.restarts_succeeded;
-      count("restarts_succeeded");
+      restarts_succeeded_.inc();
       ++restarted;
       publish_event(name, "restarted");
       GAE_LOG_INFO << "supervisor: restarted " << name << " (attempt " << p.attempt
@@ -82,13 +85,11 @@ std::size_t Supervisor::tick() {
       it = pending_.erase(it);
       continue;
     }
-    ++stats_.restarts_failed;
-    count("restarts_failed");
+    restarts_failed_.inc();
     GAE_LOG_WARN << "supervisor: restart of " << name << " failed (attempt "
                  << p.attempt << "): " << s.message();
     if (p.attempt >= options_.restart_backoff.max_attempts) {
-      ++stats_.gave_up;
-      count("gave_up");
+      gave_up_.inc();
       publish_event(name, "gave_up");
       GAE_LOG_ERROR << "supervisor: giving up on " << name << " after " << p.attempt
                     << " attempts";

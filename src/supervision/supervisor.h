@@ -46,21 +46,14 @@ struct SupervisedService {
   std::function<Status()> restart;
 };
 
-struct SupervisorStats {
-  std::uint64_t deaths_seen = 0;
-  std::uint64_t restart_attempts = 0;
-  std::uint64_t restarts_succeeded = 0;
-  std::uint64_t restarts_failed = 0;
-  std::uint64_t gave_up = 0;
-  std::uint64_t quarantined = 0;
-};
-
+/// Counts into supervision.{deaths,restart_attempts,restarts_succeeded,
+/// restarts_failed,gave_up,quarantined} and supervision.<service>.quarantined
+/// in `metrics`, or in a registry of its own when that is null.
 class Supervisor {
  public:
   explicit Supervisor(const Clock& clock, SupervisorOptions options = {},
                       monalisa::Repository* monitoring = nullptr,
-                      telemetry::MetricsRegistry* metrics = nullptr)
-      : clock_(clock), options_(options), monitoring_(monitoring), metrics_(metrics) {}
+                      telemetry::MetricsRegistry* metrics = nullptr);
 
   /// Registers a restart recipe (replacing any previous one for the name).
   void manage(SupervisedService service);
@@ -93,8 +86,6 @@ class Supervisor {
   /// again. NOT_FOUND if `name` is not quarantined.
   Status release(const std::string& name);
 
-  const SupervisorStats& stats() const { return stats_; }
-
  private:
   struct Pending {
     int attempt = 1;       // next restart attempt number (1-based)
@@ -102,20 +93,23 @@ class Supervisor {
   };
 
   void publish_event(const std::string& service, const std::string& what);
-  /// Bumps the supervision.<what> counter (no-op without a registry).
-  void count(const char* what);
 
   const Clock& clock_;
   SupervisorOptions options_;
   monalisa::Repository* monitoring_;
-  telemetry::MetricsRegistry* metrics_ = nullptr;
+  telemetry::RegistryRef metrics_;
+  telemetry::Counter& deaths_;
+  telemetry::Counter& restart_attempts_;
+  telemetry::Counter& restarts_succeeded_;
+  telemetry::Counter& restarts_failed_;
+  telemetry::Counter& gave_up_;
+  telemetry::Counter& quarantined_count_;
   FailureDetector* detector_ = nullptr;
   std::map<std::string, SupervisedService> services_;
   std::map<std::string, Pending> pending_;
   /// Restart-attempt instants per service, pruned to crash_loop_window.
   std::map<std::string, std::deque<SimTime>> attempt_history_;
   std::set<std::string> quarantined_;
-  SupervisorStats stats_;
 };
 
 }  // namespace gae::supervision

@@ -17,19 +17,21 @@ namespace gae::telemetry {
 
 /// Wraps `inner` in an "internal" span recorded to `tracer` (pass-through
 /// when tracer is null) and, when `metrics` is set, counts
-/// "<service>.<name>.calls" / ".errors".
+/// "<service>.<name>.calls" / ".errors" through handles resolved here, once.
 inline rpc::Method traced(Tracer* tracer, std::string service, std::string name,
                           rpc::Method inner, MetricsRegistry* metrics = nullptr) {
   if (!tracer && !metrics) return inner;
-  return [tracer, metrics, service = std::move(service), name = std::move(name),
+  Counter* calls = metrics ? &metrics->counter(service + "." + name + ".calls") : nullptr;
+  Counter* errors = metrics ? &metrics->counter(service + "." + name + ".errors") : nullptr;
+  return [tracer, calls, errors, service = std::move(service), name = std::move(name),
           inner = std::move(inner)](const rpc::Array& params,
                                     const rpc::CallContext& ctx) -> Result<rpc::Value> {
     ScopedSpan span(tracer, service, name, "internal");
     auto result = inner(params, ctx);
     if (!result.is_ok()) span.set_status(result.status().code());
-    if (metrics) {
-      metrics->counter(service + "." + name + ".calls").inc();
-      if (!result.is_ok()) metrics->counter(service + "." + name + ".errors").inc();
+    if (calls) {
+      calls->inc();
+      if (!result.is_ok()) errors->inc();
     }
     return result;
   };
@@ -63,36 +65,18 @@ class TracedRegistrar {
 /// Pre-resolved cache telemetry under one prefix: "<prefix>.{hits,misses,
 /// invalidations}" counters plus a "<prefix>.entries" gauge. Resolving the
 /// handles once at construction keeps registry-name building and registry
-/// locks off cache hot paths; a null registry leaves every handle null and
-/// the recording methods become no-ops.
+/// locks off cache hot paths.
 struct CacheCounters {
-  Counter* hits = nullptr;
-  Counter* misses = nullptr;
-  Counter* invalidations = nullptr;
-  Gauge* entries = nullptr;
+  Counter& hits;
+  Counter& misses;
+  Counter& invalidations;
+  Gauge& entries;
 
-  CacheCounters() = default;
-  CacheCounters(MetricsRegistry* registry, const std::string& prefix) {
-    if (!registry) return;
-    hits = &registry->counter(prefix + ".hits");
-    misses = &registry->counter(prefix + ".misses");
-    invalidations = &registry->counter(prefix + ".invalidations");
-    entries = &registry->gauge(prefix + ".entries");
-  }
-
-  void hit() const {
-    if (hits) hits->inc();
-  }
-  void miss() const {
-    if (misses) misses->inc();
-  }
-  void invalidated(std::uint64_t n = 1) const {
-    if (invalidations && n > 0) invalidations->inc(n);
-  }
-  /// Entry-count delta (+1 insert, -n drop).
-  void resized(std::int64_t delta) const {
-    if (entries && delta != 0) entries->add(delta);
-  }
+  CacheCounters(MetricsRegistry& registry, const std::string& prefix)
+      : hits(registry.counter(prefix + ".hits")),
+        misses(registry.counter(prefix + ".misses")),
+        invalidations(registry.counter(prefix + ".invalidations")),
+        entries(registry.gauge(prefix + ".entries")) {}
 };
 
 }  // namespace gae::telemetry

@@ -104,6 +104,20 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
   for (const auto& [name, h] : other.histograms) histograms[name].merge(h);
 }
 
+std::uint64_t MetricsSnapshot::counter_sum(const std::string& prefix,
+                                           const std::string& suffix) const {
+  std::uint64_t total = 0;
+  for (auto it = counters.lower_bound(prefix);
+       it != counters.end() && it->first.compare(0, prefix.size(), prefix) == 0; ++it) {
+    const std::string& name = it->first;
+    if (name.size() >= prefix.size() + suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0) {
+      total += it->second;
+    }
+  }
+  return total;
+}
+
 // ---------------------------------------------------------------------------
 // MetricsRegistry
 // ---------------------------------------------------------------------------

@@ -97,6 +97,11 @@ struct MetricsSnapshot {
   /// is right for the sharded/aggregated use (total queue depth across
   /// processes); callers wanting last-writer semantics snapshot separately.
   void merge(const MetricsSnapshot& other);
+
+  /// Sum of every counter named "<prefix>...<suffix>": how readers total a
+  /// per-endpoint or per-stream family (rpc.client.*.retries,
+  /// wal.*.scrub.corrupt) instead of keeping an aggregate twin.
+  std::uint64_t counter_sum(const std::string& prefix, const std::string& suffix) const;
 };
 
 /// Name -> metric registry. Handle lookup locks one shard; the handles
@@ -127,6 +132,25 @@ class MetricsRegistry {
   const Shard& shard_for(const std::string& name) const;
 
   std::array<Shard, kShards> shards_;
+};
+
+/// The registry a component counts into: the one it was handed, or one it
+/// owns when handed none. Either way the handles it resolves are never
+/// null, so recording needs no guard. Components sharing one registry add
+/// up into the same counters.
+class RegistryRef {
+ public:
+  explicit RegistryRef(MetricsRegistry* injected)
+      : owned_(injected ? nullptr : std::make_unique<MetricsRegistry>()),
+        registry_(injected ? injected : owned_.get()) {}
+
+  MetricsRegistry& operator*() const { return *registry_; }
+  MetricsRegistry* operator->() const { return registry_; }
+  MetricsRegistry* get() const { return registry_; }
+
+ private:
+  std::unique_ptr<MetricsRegistry> owned_;
+  MetricsRegistry* registry_;
 };
 
 }  // namespace gae::telemetry

@@ -145,7 +145,7 @@ TEST(TransportChaos, RetriesThroughScriptedFaultsAndSucceeds) {
   EXPECT_EQ(r.value().as_int(), 41);
 
   // Two faulted connections, then the clean one.
-  EXPECT_EQ(client.stats().retries, 2u);
+  EXPECT_EQ(client.metrics().snapshot().counter_sum("rpc.client.", ".retries"), 2u);
   EXPECT_EQ(proxy.faults_injected(), 2u);
   auto counts = proxy.fault_counts();
   EXPECT_EQ(counts["refuse-connect"], 1u);
@@ -174,7 +174,7 @@ TEST(TransportChaos, DroppedResponseIsNotRetriedForNonIdempotentCalls) {
   // The server executed the call exactly once: the client refused to
   // double-send a request that may already have been applied.
   EXPECT_EQ(backend.increments.load(), 1);
-  EXPECT_EQ(client.stats().attempts, 1u);
+  EXPECT_EQ(client.metrics().counter("rpc.client.attempts").value(), 1u);
   proxy.stop();
 }
 
@@ -215,7 +215,7 @@ TEST(TransportChaos, DeadlineFiresOnDelayedTransport) {
   auto r = client.call("echo", {rpc::Value(std::int64_t{1})}, call);
   ASSERT_FALSE(r.is_ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_GE(client.stats().deadline_exceeded, 1u);
+  EXPECT_GE(client.metrics().counter("rpc.client.deadline_exceeded").value(), 1u);
   proxy.stop();
 }
 
@@ -241,7 +241,7 @@ TEST(TransportChaos, FailoverReachesSecondEndpointWhenPrimaryMisbehaves) {
   auto r = client.call("echo", {rpc::Value(std::int64_t{99})});
   ASSERT_TRUE(r.is_ok()) << r.status();
   EXPECT_EQ(r.value().as_int(), 99);
-  EXPECT_GE(client.stats().failovers, 1u);
+  EXPECT_GE(client.metrics().counter("rpc.client.failovers").value(), 1u);
   EXPECT_EQ(client.breaker_state(0), CircuitBreaker::State::kOpen);
   EXPECT_EQ(client.breaker_state(1), CircuitBreaker::State::kClosed);
 

@@ -8,6 +8,7 @@
 #include "clarens/host.h"
 #include "common/clock.h"
 #include "rpc/client.h"
+#include "rpc/deadline.h"
 
 namespace gae::clarens {
 namespace {
@@ -314,15 +315,24 @@ TEST_F(ClarensHostTest, MethodStatsCountCalls) {
   host_.call("system.echo", {Value(1)});
   host_.call("system.echo", {Value(2)});
   host_.call("app.whoami", {});  // rejected (unauthenticated) but still counted
-  const auto stats = host_.method_stats();
-  EXPECT_EQ(stats.at("system.echo"), 2u);
-  EXPECT_EQ(stats.at("app.whoami"), 1u);
+  // Refused by the deadline plane before the interceptors: not counted.
+  rpc::CallContext expired;
+  expired.deadline_us = rpc::steady_now_us() - 1000;
+  EXPECT_EQ(host_.dispatcher().dispatch("system.echo", {Value(3)}, expired).status().code(),
+            StatusCode::kDeadlineExceeded);
 
   const std::string token =
       host_.call("system.login", {Value("alice"), Value("pw")}).value().as_string();
   auto over_rpc = host_.call("system.stats", {}, token);
   ASSERT_TRUE(over_rpc.is_ok()) << over_rpc.status();
+  const rpc::Struct& stats = over_rpc.value().as_struct();
   EXPECT_EQ(over_rpc.value().get_int("system.echo", 0), 2);
+  EXPECT_EQ(over_rpc.value().get_int("app.whoami", 0), 1);
+  EXPECT_EQ(over_rpc.value().get_int("system.login", 0), 1);
+  EXPECT_EQ(over_rpc.value().get_int("system.stats", 0), 1);  // counts itself
+  // Only methods called at least once are listed.
+  EXPECT_EQ(stats.size(), 4u);
+  EXPECT_EQ(stats.count("system.lookup"), 0u);
 }
 
 TEST_F(ClarensHostTest, ServeOverTcp) {

@@ -36,6 +36,18 @@ using ha::ReplicationMode;
 using ha::ShipperOptions;
 using ha::StandbyReplica;
 
+/// Shipper options counting into `metrics`, so a test reads one shipper's
+/// ha.<stream>.* counters.
+ShipperOptions counted_into(telemetry::MetricsRegistry& metrics) {
+  ShipperOptions options;
+  options.metrics = &metrics;
+  return options;
+}
+
+std::uint64_t count(telemetry::MetricsRegistry& metrics, const std::string& name) {
+  return metrics.counter(name).value();
+}
+
 exec::TaskInfo make_task(const std::string& id, double progress) {
   exec::TaskInfo info;
   info.spec.id = id;
@@ -87,7 +99,8 @@ TEST(Replication, SnapshotCompactionShipsToStandby) {
   MemoryWalStorage primary_store, standby_store;
   StandbyReplica replica("jobmon", &standby_store);
   LocalShipperTransport transport(&replica);
-  LogShipper shipper("jobmon", {});
+  telemetry::MetricsRegistry metrics;
+  LogShipper shipper("jobmon", counted_into(metrics));
   shipper.add_standby(&transport);
   shipper.set_epoch(1);
   ReplicatedWalStorage replicated(&primary_store, &shipper);
@@ -107,14 +120,15 @@ TEST(Replication, SnapshotCompactionShipsToStandby) {
   jobmon::DBManager promoted(nullptr, &standby_wal);
   ASSERT_TRUE(promoted.recover().is_ok());
   EXPECT_EQ(promoted.export_state(), primary.export_state());
-  EXPECT_GE(shipper.stats().snapshots_shipped, 1u);
+  EXPECT_GE(count(metrics, "ha.jobmon.snapshots_shipped"), 1u);
 }
 
 TEST(Replication, AutomaticCompactionKeepsStandbyByteEqual) {
   MemoryWalStorage primary_store, standby_store;
   StandbyReplica replica("jobmon", &standby_store);
   LocalShipperTransport transport(&replica);
-  LogShipper shipper("jobmon", {});
+  telemetry::MetricsRegistry metrics;
+  LogShipper shipper("jobmon", counted_into(metrics));
   shipper.add_standby(&transport);
   shipper.set_epoch(1);
   ReplicatedWalStorage replicated(&primary_store, &shipper);
@@ -131,7 +145,7 @@ TEST(Replication, AutomaticCompactionKeepsStandbyByteEqual) {
     }
   }
   EXPECT_GE(compactions_seen, 2u);
-  EXPECT_EQ(shipper.stats().snapshots_shipped, compactions_seen);
+  EXPECT_EQ(count(metrics, "ha.jobmon.snapshots_shipped"), compactions_seen);
   EXPECT_EQ(standby_store.bytes(), primary_store.bytes());
 }
 
@@ -161,7 +175,8 @@ TEST(Replication, StandbyThatMissedACompactionResyncs) {
   MemoryWalStorage primary_store, standby_store;
   StandbyReplica replica("jobmon", &standby_store);
   SnapshotDroppingTransport transport(&replica);
-  LogShipper shipper("jobmon", {});
+  telemetry::MetricsRegistry metrics;
+  LogShipper shipper("jobmon", counted_into(metrics));
   shipper.add_standby(&transport);
   shipper.set_epoch(1);
   ReplicatedWalStorage replicated(&primary_store, &shipper);
@@ -177,13 +192,13 @@ TEST(Replication, StandbyThatMissedACompactionResyncs) {
     primary.update(id, make_task(id, 0.001 * i), "site-a", from_seconds(i));
   }
   EXPECT_EQ(wal.snapshots(), 0u) << "the failed ship fails the compaction";
-  EXPECT_GE(shipper.stats().ship_failures, 1u);
+  EXPECT_GE(count(metrics, "ha.jobmon.ship_failures"), 1u);
 
   // Back up: the next append finds the gap and installs the full log.
   transport.down = false;
   primary.update("t0", make_task("t0", 0.5), "site-a", from_seconds(i));
   EXPECT_EQ(standby_store.bytes(), primary_store.bytes());
-  EXPECT_GE(shipper.stats().resyncs, 1u);
+  EXPECT_GE(count(metrics, "ha.jobmon.resyncs"), 1u);
   Wal standby_wal(&standby_store);
   jobmon::DBManager promoted(nullptr, &standby_wal);
   ASSERT_TRUE(promoted.recover().is_ok());
@@ -194,9 +209,11 @@ TEST(Replication, AsyncModeBuffersUntilFlush) {
   MemoryWalStorage primary_store, standby_store;
   StandbyReplica replica("est", &standby_store);
   LocalShipperTransport transport(&replica);
+  telemetry::MetricsRegistry metrics;
   ShipperOptions options;
   options.mode = ReplicationMode::kAsync;
   options.batch_max_records = 100;  // far above what the test writes
+  options.metrics = &metrics;
   LogShipper shipper("est", options);
   shipper.add_standby(&transport);
   shipper.set_epoch(1);
@@ -212,8 +229,8 @@ TEST(Replication, AsyncModeBuffersUntilFlush) {
   ASSERT_TRUE(shipper.flush().is_ok());
   EXPECT_EQ(replica.next_seq(), 5u);
   EXPECT_EQ(standby_store.bytes(), primary_store.bytes());
-  EXPECT_EQ(shipper.stats().batches_shipped, 1u);  // one batch, five records
-  EXPECT_EQ(shipper.stats().records_shipped, 5u);
+  EXPECT_EQ(count(metrics, "ha.est.batches_shipped"), 1u);  // one batch, five records
+  EXPECT_EQ(count(metrics, "ha.est.records_shipped"), 5u);
 }
 
 TEST(Replication, AsyncBatchThresholdTriggersShipment) {
@@ -240,7 +257,8 @@ TEST(Replication, AsyncBatchThresholdTriggersShipment) {
 
 TEST(Replication, LateJoiningStandbyHealsViaSnapshotResync) {
   MemoryWalStorage primary_store, standby_store;
-  LogShipper shipper("jobmon", {});
+  telemetry::MetricsRegistry metrics;
+  LogShipper shipper("jobmon", counted_into(metrics));
   shipper.set_epoch(1);
   ReplicatedWalStorage replicated(&primary_store, &shipper);
   Wal wal(&replicated);
@@ -258,7 +276,7 @@ TEST(Replication, LateJoiningStandbyHealsViaSnapshotResync) {
 
   EXPECT_EQ(standby_store.bytes(), primary_store.bytes());
   EXPECT_EQ(replica.next_seq(), 5u);
-  EXPECT_GE(shipper.stats().resyncs, 1u);
+  EXPECT_GE(count(metrics, "ha.jobmon.resyncs"), 1u);
 }
 
 TEST(Replication, DuplicateAndOverlappingBatchesAreIdempotent) {
@@ -417,7 +435,8 @@ TEST(Replication, SteeringJournalLinesSurviveFailover) {
   MemoryWalStorage standby_store;
   StandbyReplica replica("steering", &standby_store);
   LocalShipperTransport transport(&replica);
-  LogShipper shipper("steering", {});
+  telemetry::MetricsRegistry metrics;
+  LogShipper shipper("steering", counted_into(metrics));
   shipper.add_standby(&transport);
   shipper.set_epoch(1);
   ReplicatedWalStorage replicated(&primary_store, &shipper);
@@ -469,7 +488,7 @@ TEST(Replication, SteeringJournalLinesSurviveFailover) {
   shipper.add_standby(&late_transport);
   lines.push_back("v1 watch task=t2 site=site-b");
   ASSERT_TRUE(journal.append(lines.back()).is_ok());
-  EXPECT_EQ(shipper.stats().resyncs, 1u);
+  EXPECT_EQ(count(metrics, "ha.steering.resyncs"), 1u);
   EXPECT_EQ(late_store.bytes(), primary_store.bytes());
   EXPECT_EQ(lines_of(&late_store), lines);
   EXPECT_EQ(lines_of(&standby_store), lines);
@@ -720,8 +739,8 @@ TEST(FailoverChaos, ClientFollowsNotPrimaryLeaderHintOverTcp) {
   auto result = client.call("kv.put", {rpc::Value("k"), rpc::Value("v")});
   ASSERT_TRUE(result.is_ok()) << result.status();
   EXPECT_EQ(result.value().as_string(), "stored-by-new-primary");
-  EXPECT_EQ(client.stats().not_primary_redirects, 1u);
-  EXPECT_EQ(client.stats().failed_calls, 0u);
+  EXPECT_EQ(client.metrics().counter("rpc.client.not_primary_redirects").value(), 1u);
+  EXPECT_EQ(client.metrics().counter("rpc.client.failed_calls").value(), 0u);
   // The fault came from a healthy replica: no breaker was charged.
   for (std::size_t i = 0; i < client.endpoint_count(); ++i) {
     EXPECT_EQ(client.breaker_state(i), CircuitBreaker::State::kClosed);

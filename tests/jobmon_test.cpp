@@ -243,6 +243,8 @@ TEST_F(JobMonTest, ReadCacheServesRepeatsAndInvalidatesOnTransitions) {
   ReadCacheOptions cache_options;
   cache_options.ttl_ms = 1000;
   cache_options.now_us = [&fake_now] { return fake_now; };
+  telemetry::MetricsRegistry cache_metrics;
+  cache_options.metrics = &cache_metrics;
   ReadCache cache(cache_options);
   register_jobmon_methods(host, *jms_, nullptr, nullptr, nullptr, 2000, &cache);
 
@@ -250,7 +252,7 @@ TEST_F(JobMonTest, ReadCacheServesRepeatsAndInvalidatesOnTransitions) {
   ASSERT_TRUE(exec_a_->submit(spec("t1", 100)).is_ok());
   sim_.run_until(from_seconds(25));
   // The QUEUED/STAGING/RUNNING transitions already invalidated (empty) keys.
-  const auto baseline_invalidations = cache.stats().invalidations;
+  const auto baseline_invalidations = cache_metrics.counter("jobmon.cache.invalidations").value();
 
   // First read misses and populates; the repeat is served from the cache
   // and carries the stale marker.
@@ -261,7 +263,7 @@ TEST_F(JobMonTest, ReadCacheServesRepeatsAndInvalidatesOnTransitions) {
   ASSERT_TRUE(second.is_ok());
   EXPECT_TRUE(second.value().get_bool("stale", false));
   EXPECT_EQ(second.value().get_string("status", ""), "RUNNING");
-  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache_metrics.counter("jobmon.cache.hits").value(), 1u);
 
   // status and list ride the cache too.
   ASSERT_TRUE(host.call("jobmon.status", {rpc::Value("t1")}).is_ok());
@@ -269,22 +271,22 @@ TEST_F(JobMonTest, ReadCacheServesRepeatsAndInvalidatesOnTransitions) {
             "RUNNING");
   ASSERT_TRUE(host.call("jobmon.list", {}).is_ok());
   ASSERT_TRUE(host.call("jobmon.list", {}).is_ok());
-  EXPECT_GE(cache.stats().hits, 3u);
+  EXPECT_GE(cache_metrics.counter("jobmon.cache.hits").value(), 3u);
 
   // The collector's completion transition invalidates, so the next read is
   // fresh — not a TTL-stale RUNNING snapshot.
   sim_.run_until(from_seconds(200));
-  EXPECT_GT(cache.stats().invalidations, baseline_invalidations);
+  EXPECT_GT(cache_metrics.counter("jobmon.cache.invalidations").value(), baseline_invalidations);
   auto after = host.call("jobmon.info", {rpc::Value("t1")});
   ASSERT_TRUE(after.is_ok()) << after.status();
   EXPECT_FALSE(after.value().get_bool("stale", true));
   EXPECT_EQ(after.value().get_string("status", ""), "COMPLETED");
 
   // And entries age out on their own: past the TTL the repeat re-misses.
-  const auto misses_before = cache.stats().misses;
+  const auto misses_before = cache_metrics.counter("jobmon.cache.misses").value();
   fake_now += 2'000'000;
   ASSERT_TRUE(host.call("jobmon.info", {rpc::Value("t1")}).is_ok());
-  EXPECT_GT(cache.stats().misses, misses_before);
+  EXPECT_GT(cache_metrics.counter("jobmon.cache.misses").value(), misses_before);
 }
 
 }  // namespace

@@ -268,8 +268,8 @@ TEST(DeadlineClient, ExpiredAmbientDeadlineFailsWithoutAnAttempt) {
   const auto r = client.call("any.op", {});
   ASSERT_FALSE(r.is_ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(client.stats().attempts, 0u);
-  EXPECT_EQ(client.stats().deadline_exceeded, 1u);
+  EXPECT_EQ(client.metrics().counter("rpc.client.attempts").value(), 0u);
+  EXPECT_EQ(client.metrics().counter("rpc.client.deadline_exceeded").value(), 1u);
 }
 
 TEST(RetryBudgetClient, BudgetExhaustionStopsRetryStorm) {
@@ -293,9 +293,9 @@ TEST(RetryBudgetClient, BudgetExhaustionStopsRetryStorm) {
   const auto r = client.call("any.op", {}, opts);
   ASSERT_FALSE(r.is_ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(client.stats().attempts, 2u);  // 1 fresh + 1 budgeted retry
-  EXPECT_EQ(client.stats().retries, 1u);
-  EXPECT_EQ(client.stats().retry_budget_exhausted, 1u);
+  EXPECT_EQ(client.metrics().counter("rpc.client.attempts").value(), 2u);  // 1 fresh + 1 budgeted retry
+  EXPECT_EQ(client.metrics().snapshot().counter_sum("rpc.client.", ".retries"), 1u);
+  EXPECT_EQ(client.metrics().counter("rpc.client.retry_budget_exhausted").value(), 1u);
   EXPECT_EQ(budget.exhausted(), 1u);
 }
 
@@ -432,7 +432,7 @@ TEST_F(ShedTest, ClientClassifiesShedAsRetryableResourceExhausted) {
   ASSERT_FALSE(r.is_ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(RetryPolicy::is_retryable(r.status().code()));
-  EXPECT_EQ(client.stats().shed_rejections, 1u);
+  EXPECT_EQ(client.metrics().counter("rpc.client.shed_rejections").value(), 1u);
   // The breaker must not count a shed as endpoint failure (the server is
   // healthy, just full): the endpoint stays closed/usable.
   EXPECT_EQ(client.breaker_state(0), CircuitBreaker::State::kClosed);

@@ -256,10 +256,10 @@ TEST(RpcClientRetryTest, DeadlineBudgetExhaustedUnderVirtualClock) {
   // t=99, after which no further attempt fits. (The clamp means a backoff
   // larger than the remaining budget shortens the sleep instead of
   // abandoning budget the call could still use.)
-  EXPECT_EQ(client.stats().attempts, 3u);
-  EXPECT_EQ(client.stats().retries, 2u);
-  EXPECT_GE(client.stats().deadline_exceeded, 1u);
-  EXPECT_EQ(client.stats().failed_calls, 1u);
+  EXPECT_EQ(client.metrics().counter("rpc.client.attempts").value(), 3u);
+  EXPECT_EQ(client.metrics().snapshot().counter_sum("rpc.client.", ".retries"), 2u);
+  EXPECT_GE(client.metrics().counter("rpc.client.deadline_exceeded").value(), 1u);
+  EXPECT_EQ(client.metrics().counter("rpc.client.failed_calls").value(), 1u);
 }
 
 TEST(RpcClientRetryTest, BreakerOpensAfterRepeatedConnectFailuresThenProbes) {
@@ -285,7 +285,7 @@ TEST(RpcClientRetryTest, BreakerOpensAfterRepeatedConnectFailuresThenProbes) {
   ASSERT_FALSE(rejected.is_ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
   EXPECT_NE(rejected.status().message().find("circuit open"), std::string::npos);
-  EXPECT_GE(client.stats().breaker_rejections, 1u);
+  EXPECT_GE(client.metrics().counter("rpc.client.breaker_rejections").value(), 1u);
 
   // After the cooldown a probe is admitted; it fails, so the breaker reopens.
   clock.advance_by(1'001 * 1000);

@@ -101,7 +101,7 @@ class ParkingPeer {
 /// probing, so the round trip is lossless until the eviction fires.
 void probe_until_evicted(ConnectionPool& pool, std::uint16_t port) {
   const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (pool.stats().health_evictions == 0 &&
+  while (pool.metrics().counter("rpc.pool.health_evictions").value() == 0 &&
          std::chrono::steady_clock::now() < give_up) {
     auto probe = pool.checkout("127.0.0.1", port);
     ASSERT_TRUE(probe.is_ok());
@@ -123,10 +123,10 @@ TEST(ConnectionPool, CheckinParksAndCheckoutReuses) {
   auto second = pool.checkout("127.0.0.1", peer.port());
   ASSERT_TRUE(second.is_ok());
   EXPECT_TRUE(second.value().reused);
-  EXPECT_EQ(pool.stats().dials, 1u);
-  EXPECT_EQ(pool.stats().reuses, 1u);
+  EXPECT_EQ(pool.metrics().counter("rpc.pool.dials").value(), 1u);
+  EXPECT_EQ(pool.metrics().counter("rpc.pool.reuses").value(), 1u);
   pool.discard(std::move(second).value());
-  EXPECT_EQ(pool.stats().discards, 1u);
+  EXPECT_EQ(pool.metrics().counter("rpc.pool.discards").value(), 1u);
   EXPECT_EQ(pool.live_count("127.0.0.1", peer.port()), 0u);
 }
 
@@ -143,8 +143,8 @@ TEST(ConnectionPool, EvictsPeerClosedConnectionAtCheckout) {
   peer.close_all();
   probe_until_evicted(pool, peer.port());
 
-  EXPECT_EQ(pool.stats().health_evictions, 1u);  // dead socket never reused
-  EXPECT_EQ(pool.stats().dials, 2u);
+  EXPECT_EQ(pool.metrics().counter("rpc.pool.health_evictions").value(), 1u);  // dead socket never reused
+  EXPECT_EQ(pool.metrics().counter("rpc.pool.dials").value(), 2u);
 }
 
 TEST(ConnectionPool, EvictsDesyncedConnectionAtCheckout) {
@@ -161,7 +161,7 @@ TEST(ConnectionPool, EvictsDesyncedConnectionAtCheckout) {
   peer.spray_bytes();
   probe_until_evicted(pool, peer.port());
 
-  EXPECT_EQ(pool.stats().health_evictions, 1u);
+  EXPECT_EQ(pool.metrics().counter("rpc.pool.health_evictions").value(), 1u);
 }
 
 TEST(ConnectionPool, OverflowDialsBeyondMaxSizeAndNeverParks) {
@@ -175,7 +175,7 @@ TEST(ConnectionPool, OverflowDialsBeyondMaxSizeAndNeverParks) {
   ASSERT_TRUE(first.is_ok());
   auto second = pool.checkout("127.0.0.1", peer.port());  // beyond max_size
   ASSERT_TRUE(second.is_ok());
-  EXPECT_EQ(pool.stats().overflow, 1u);
+  EXPECT_EQ(pool.metrics().counter("rpc.pool.overflow").value(), 1u);
 
   pool.checkin(std::move(second).value());  // overflow conn: closed, not parked
   pool.checkin(std::move(first).value());
@@ -198,7 +198,7 @@ TEST(ConnectionPool, ReapsIdleConnectionsPastTimeout) {
   clock.advance_by(from_millis(2000));
   pool.reap_idle();
   EXPECT_EQ(pool.idle_count("127.0.0.1", peer.port()), 0u);
-  EXPECT_EQ(pool.stats().idle_reaped, 1u);
+  EXPECT_EQ(pool.metrics().counter("rpc.pool.idle_reaped").value(), 1u);
 }
 
 TEST(ConnectionPool, ConcurrentCheckoutCheckinWithDyingPeer) {
@@ -245,9 +245,26 @@ TEST(ConnectionPool, ConcurrentCheckoutCheckinWithDyingPeer) {
   // Accounting stayed consistent: nothing is still marked checked out.
   EXPECT_EQ(pool.live_count("127.0.0.1", peer.port()),
             pool.idle_count("127.0.0.1", peer.port()));
-  const PoolStats stats = pool.stats();
-  EXPECT_EQ(stats.dials + stats.reuses,
+  telemetry::MetricsRegistry& metrics = pool.metrics();
+  EXPECT_EQ(metrics.counter("rpc.pool.dials").value() + metrics.counter("rpc.pool.reuses").value(),
             static_cast<std::uint64_t>(kThreads * kIters - dial_failures.load()));
+}
+
+TEST(ConnectionPool, PoolsSharingOneRegistryAddUp) {
+  ParkingPeer peer;
+  telemetry::MetricsRegistry metrics;
+  PoolOptions options;
+  options.metrics = &metrics;
+  ConnectionPool first(options);
+  ConnectionPool second(options);
+  for (ConnectionPool* pool : {&first, &second}) {
+    auto conn = pool->checkout("127.0.0.1", peer.port());
+    ASSERT_TRUE(conn.is_ok());
+    pool->checkin(std::move(conn).value());
+  }
+  EXPECT_EQ(&first.metrics(), &metrics);
+  EXPECT_EQ(metrics.counter("rpc.pool.dials").value(), 2u);
+  EXPECT_EQ(metrics.gauge("rpc.pool.idle").value(), 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -279,9 +296,54 @@ TEST(RpcClientPooled, ConcurrentCallsShareTheClientSafely) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(ok.load(), kThreads * kIters);
   // Keep-alive reuse did the heavy lifting: far fewer dials than calls.
-  EXPECT_GT(client.pool().stats().reuses, 0u);
-  EXPECT_LT(client.pool().stats().dials,
+  EXPECT_GT(client.pool().metrics().counter("rpc.pool.reuses").value(), 0u);
+  EXPECT_LT(client.pool().metrics().counter("rpc.pool.dials").value(),
             static_cast<std::uint64_t>(kThreads * kIters));
+  server.stop();
+}
+
+TEST(RpcClientCounters, OwnedRegistryCountsWhenNoneIsGiven) {
+  RpcServer server(echo_dispatcher(), ServerOptions{0, 2});
+  auto port = server.start();
+  ASSERT_TRUE(port.is_ok());
+  RpcClient client({{"127.0.0.1", port.value()}}, Protocol::kJsonRpc, {});
+  ASSERT_TRUE(client.call("echo", {Value(1)}).is_ok());
+  ASSERT_TRUE(client.call("echo", {Value(2)}).is_ok());
+
+  telemetry::MetricsRegistry& metrics = client.metrics();
+  const std::string endpoint = "rpc.client.127.0.0.1:" + std::to_string(port.value());
+  EXPECT_EQ(metrics.counter("rpc.client.calls").value(), 2u);
+  EXPECT_EQ(metrics.counter("rpc.client.attempts").value(), 2u);
+  EXPECT_EQ(metrics.counter(endpoint + ".attempts").value(), 2u);
+  EXPECT_EQ(metrics.counter("rpc.client.failed_calls").value(), 0u);
+  // The private pool counts into the client's registry.
+  EXPECT_EQ(&client.pool().metrics(), &metrics);
+  EXPECT_EQ(metrics.counter("rpc.pool.dials").value() +
+                metrics.counter("rpc.pool.reuses").value(),
+            2u);
+  server.stop();
+}
+
+TEST(RpcClientCounters, ClientsSharingOneRegistryAddUp) {
+  RpcServer server(echo_dispatcher(), ServerOptions{0, 2});
+  auto port = server.start();
+  ASSERT_TRUE(port.is_ok());
+  telemetry::MetricsRegistry metrics;
+  ClientOptions options;
+  options.metrics = &metrics;
+  RpcClient first({{"127.0.0.1", port.value()}}, Protocol::kJsonRpc, options);
+  RpcClient second({{"127.0.0.1", port.value()}}, Protocol::kJsonRpc, options);
+  ASSERT_TRUE(first.call("echo", {Value(1)}).is_ok());
+  ASSERT_TRUE(second.call("echo", {Value(2)}).is_ok());
+  ASSERT_TRUE(second.call("echo", {Value(3)}).is_ok());
+
+  const std::string endpoint = "rpc.client.127.0.0.1:" + std::to_string(port.value());
+  EXPECT_EQ(metrics.counter("rpc.client.calls").value(), 3u);
+  EXPECT_EQ(metrics.counter(endpoint + ".attempts").value(), 3u);
+  EXPECT_EQ(metrics.counter("rpc.pool.dials").value() +
+                metrics.counter("rpc.pool.reuses").value(),
+            3u);
+  EXPECT_GE(metrics.counter("rpc.pool.dials").value(), 2u);  // one pool each
   server.stop();
 }
 
@@ -321,7 +383,7 @@ TEST(RpcClientPooled, FailoverUnderConcurrentLoadWhenEndpointDies) {
   // Every call succeeded: dial failures against the dead endpoint fail over
   // within the same attempt, and interrupted exchanges retry.
   EXPECT_EQ(ok.load(), kThreads * kIters);
-  EXPECT_GT(client.stats().failovers, 0u);
+  EXPECT_GT(client.metrics().counter("rpc.client.failovers").value(), 0u);
   stable.stop();
 }
 
@@ -344,7 +406,7 @@ TEST(RpcClientPooled, StickyWalkDoesNotReturnToRecoveredEarlierEndpoint) {
   RpcClient client({{"127.0.0.1", dead_port}, {"127.0.0.1", stable_port.value()}},
                    Protocol::kJsonRpc, {});
   ASSERT_TRUE(client.call("echo", {Value(1)}).is_ok());
-  EXPECT_EQ(client.stats().failovers, 1u);
+  EXPECT_EQ(client.metrics().counter("rpc.client.failovers").value(), 1u);
 
   // Endpoint 0 comes back to life — and must stay idle.
   auto revived = net::TcpListener::bind(dead_port);
@@ -447,9 +509,9 @@ TEST(RpcBatch, CallManyRoundTripsOverTheWire) {
   EXPECT_EQ(results[2].value().as_int(), 7);
 
   // One wire exchange carried all three items.
-  EXPECT_EQ(client.stats().batches, 1u);
-  EXPECT_EQ(client.stats().batched_items, 3u);
-  EXPECT_EQ(client.stats().calls, 1u);
+  EXPECT_EQ(client.metrics().counter("rpc.client.batches").value(), 1u);
+  EXPECT_EQ(client.metrics().counter("rpc.client.batched_items").value(), 3u);
+  EXPECT_EQ(client.metrics().counter("rpc.client.calls").value(), 1u);
   server.stop();
 }
 
@@ -469,7 +531,7 @@ TEST(RpcBatch, CallManyFallsBackItemByItemForOldServers) {
   EXPECT_EQ(results[0].value().as_int(), 1);
   ASSERT_TRUE(results[1].is_ok());
   EXPECT_EQ(results[1].value().as_int(), 2);
-  EXPECT_EQ(client.stats().batches, 0u);  // served serially
+  EXPECT_EQ(client.metrics().counter("rpc.client.batches").value(), 0u);  // served serially
   server.stop();
 }
 
@@ -485,7 +547,7 @@ TEST(RpcBatch, SingleItemBatchDegradesToPlainCall) {
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].is_ok());
   EXPECT_EQ(results[0].value().as_int(), 5);
-  EXPECT_EQ(client.stats().batches, 0u);
+  EXPECT_EQ(client.metrics().counter("rpc.client.batches").value(), 0u);
 
   EXPECT_TRUE(client.call_many({}).empty());
   server.stop();
@@ -520,25 +582,32 @@ TEST(RpcBatch, BatchBuilderAccumulatesAndFlushes) {
 namespace gae::jobmon {
 namespace {
 
-ReadCache make_cache(std::int64_t* now_us, int ttl_ms = 100, int brownout_ttl_ms = 1000) {
+ReadCache make_cache(std::int64_t* now_us, int ttl_ms = 100, int brownout_ttl_ms = 1000,
+                     telemetry::MetricsRegistry* metrics = nullptr) {
   ReadCacheOptions options;
   options.ttl_ms = ttl_ms;
   options.brownout_ttl_ms = brownout_ttl_ms;
   options.now_us = [now_us] { return *now_us; };
+  options.metrics = metrics;
   return ReadCache(options);
+}
+
+std::uint64_t count(telemetry::MetricsRegistry& metrics, const std::string& name) {
+  return metrics.counter(name).value();
 }
 
 TEST(ReadCache, HitUntilTtlThenMiss) {
   std::int64_t now = 0;
-  ReadCache cache = make_cache(&now);
+  telemetry::MetricsRegistry metrics;
+  ReadCache cache = make_cache(&now, 100, 1000, &metrics);
   cache.put("info/t1", rpc::Value(1));
   ASSERT_TRUE(cache.get("info/t1").has_value());
   now += 99'000;
   ASSERT_TRUE(cache.get("info/t1").has_value());
   now += 2'000;  // past 100 ms
   EXPECT_FALSE(cache.get("info/t1").has_value());
-  EXPECT_EQ(cache.stats().hits, 2u);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(count(metrics, "jobmon.cache.hits"), 2u);
+  EXPECT_EQ(count(metrics, "jobmon.cache.misses"), 1u);
   EXPECT_EQ(cache.size(), 0u);  // the expired entry was erased on the miss
 }
 
@@ -556,7 +625,8 @@ TEST(ReadCache, BrownoutAcceptsOlderEntries) {
 
 TEST(ReadCache, InvalidateTaskDropsDerivedKeysAndList) {
   std::int64_t now = 0;
-  ReadCache cache = make_cache(&now);
+  telemetry::MetricsRegistry metrics;
+  ReadCache cache = make_cache(&now, 100, 1000, &metrics);
   cache.put(ReadCache::info_key("t1"), rpc::Value(1));
   cache.put(ReadCache::status_key("t1"), rpc::Value("RUNNING"));
   cache.put(ReadCache::info_key("t2"), rpc::Value(2));
@@ -567,19 +637,20 @@ TEST(ReadCache, InvalidateTaskDropsDerivedKeysAndList) {
   EXPECT_FALSE(cache.get(ReadCache::status_key("t1")).has_value());
   EXPECT_FALSE(cache.get(ReadCache::kListKey).has_value());
   EXPECT_TRUE(cache.get(ReadCache::info_key("t2")).has_value());  // untouched
-  EXPECT_EQ(cache.stats().invalidations, 3u);
+  EXPECT_EQ(count(metrics, "jobmon.cache.invalidations"), 3u);
 }
 
 TEST(ReadCache, InvalidateAllEmptiesEveryShard) {
   std::int64_t now = 0;
-  ReadCache cache = make_cache(&now);
+  telemetry::MetricsRegistry metrics;
+  ReadCache cache = make_cache(&now, 100, 1000, &metrics);
   for (int i = 0; i < 64; ++i) {
     cache.put("info/task-" + std::to_string(i), rpc::Value(i));
   }
   EXPECT_EQ(cache.size(), 64u);
   cache.invalidate_all();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().invalidations, 64u);
+  EXPECT_EQ(count(metrics, "jobmon.cache.invalidations"), 64u);
 }
 
 TEST(ReadCache, FullShardStaysBoundedAndAcceptsNewEntries) {

@@ -342,6 +342,8 @@ TEST(Scrubber, TickHonoursCadenceAndByteBudget) {
   storage::ScrubberOptions options;
   options.interval = from_seconds(5);
   options.max_bytes_per_tick = 256;  // one log exhausts the budget
+  telemetry::MetricsRegistry metrics;
+  options.metrics = &metrics;
   Scrubber scrubber(clock, options);
   scrubber.add_target({"a", &store_a, nullptr});
   scrubber.add_target({"b", &store_b, nullptr});
@@ -351,8 +353,9 @@ TEST(Scrubber, TickHonoursCadenceAndByteBudget) {
   EXPECT_EQ(scrubber.tick(), 0u);  // neither is due again yet
   clock.advance_by(from_seconds(6));
   EXPECT_EQ(scrubber.tick(), 1u);  // oldest-first rotation resumes
-  EXPECT_EQ(scrubber.stats().scrubs, 3u);
-  EXPECT_EQ(scrubber.stats().corruptions_found, 0u);
+  const telemetry::MetricsSnapshot snap = metrics.snapshot();
+  EXPECT_EQ(snap.counter_sum("wal.", ".scrub.runs"), 3u);
+  EXPECT_EQ(snap.counter_sum("wal.", ".scrub.corrupt"), 0u);
 }
 
 // --- Degraded-mode gating in the estimator stores --------------------------
@@ -414,7 +417,7 @@ TEST(Supervisor, CrashLoopQuarantinesUntilExplicitRelease) {
   EXPECT_EQ(supervisor.tick(), 0u);
   EXPECT_TRUE(supervisor.quarantined("flappy"));
   EXPECT_EQ(restarts, 3);  // the parked recipe did not run
-  EXPECT_EQ(supervisor.stats().quarantined, 1u);
+  EXPECT_EQ(metrics.counter("supervision.quarantined").value(), 1u);
   EXPECT_EQ(metrics.counter("supervision.flappy.quarantined").value(), 1u);
 
   // Death verdicts are ignored while parked.
@@ -567,7 +570,7 @@ TEST(Repair, RecipeArmedOnQuarantineRetriesUntilStandbyReachable) {
   supervision::SupervisorOptions sup_options;
   sup_options.restart_backoff.initial_backoff_ms = 500;
   sup_options.restart_backoff.backoff_multiplier = 2.0;
-  supervision::Supervisor supervisor(rig.clock, sup_options);
+  supervision::Supervisor supervisor(rig.clock, sup_options, nullptr, &rig.metrics);
   supervisor.manage(storage::make_repair_recipe("jobmon-repair", repair));
   storage::arm_repair_on_quarantine(rig.health, supervisor, "jobmon-repair");
 
@@ -585,7 +588,7 @@ TEST(Repair, RecipeArmedOnQuarantineRetriesUntilStandbyReachable) {
   EXPECT_EQ(repaired, 1u);
   EXPECT_EQ(rig.health.state(), StoreState::kHealthy);
   EXPECT_EQ(rig.primary_media.bytes(), rig.standby_media.bytes());
-  EXPECT_GE(supervisor.stats().restarts_failed, 2u);
+  EXPECT_GE(rig.metrics.counter("supervision.restarts_failed").value(), 2u);
 }
 
 // --- Byte-flip property sweep ----------------------------------------------
@@ -735,7 +738,7 @@ TEST(StorageChaos, SeededFaultScheduleLosesNoAckedWrite) {
   }
   ASSERT_EQ(rig.health.state(), StoreState::kHealthy);
   EXPECT_GT(injected_rots, 0u);
-  EXPECT_GE(scrubber.stats().corruptions_found, 1u);
+  EXPECT_GE(rig.metrics.counter("wal.jobmon.scrub.corrupt").value(), 1u);
   EXPECT_GE(rig.metrics.counter("storage.jobmon.repairs").value(), 1u);
 
   // Byte-equality with the standby after the dust settles.

@@ -25,6 +25,7 @@
 #include "steering/service.h"
 #include "supervision/failure_detector.h"
 #include "supervision/supervisor.h"
+#include "telemetry/metrics.h"
 
 namespace gae {
 namespace {
@@ -75,7 +76,7 @@ class SupervisionChaosTest : public ::testing::Test {
                                                       /*suspect_after_missed=*/1,
                                                       /*dead_after_missed=*/2},
                   &monitoring_),
-        supervisor_(sim_.clock(), supervisor_options(), &monitoring_) {
+        supervisor_(sim_.clock(), supervisor_options(), &monitoring_, &metrics_) {
     grid_.add_site("site-a").add_node("a0", 1.0,
                                       std::make_shared<sim::ConstantLoad>(kSiteALoad));
     grid_.add_site("site-b").add_node("b0", 1.0, nullptr);
@@ -221,6 +222,7 @@ class SupervisionChaosTest : public ::testing::Test {
   std::unique_ptr<steering::SteeringService> steering_;
 
   supervision::FailureDetector detector_;
+  telemetry::MetricsRegistry metrics_;  // the supervisor's counters
   supervision::Supervisor supervisor_;
 
   clarens::Lease jobmon_lease_, estimator_lease_, steering_lease_;
@@ -276,8 +278,8 @@ TEST_F(SupervisionChaosTest, JobmonCrashExpiresLeaseRestartsAndRecoversState) {
 
   // The supervisor rebuilt the service from its WAL...
   ASSERT_TRUE(jms_ != nullptr);
-  EXPECT_EQ(supervisor_.stats().deaths_seen, 1u);
-  EXPECT_EQ(supervisor_.stats().restarts_succeeded, 1u);
+  EXPECT_EQ(metrics_.counter("supervision.deaths").value(), 1u);
+  EXPECT_EQ(metrics_.counter("supervision.restarts_succeeded").value(), 1u);
   ASSERT_FALSE(pre_crash_jobmon_.empty());
   // ...byte-equal to the pre-crash repository (snapshot + tail replay)...
   EXPECT_EQ(recovered_jobmon_, pre_crash_jobmon_);
@@ -368,7 +370,7 @@ TEST_F(SupervisionChaosTest, EstimatorCrashRecoversByteEqualEstimates) {
 
   EXPECT_TRUE(lookup_failed_in_outage_);
   EXPECT_TRUE(estimator_alive_);  // supervisor brought it back
-  EXPECT_EQ(supervisor_.stats().restarts_succeeded, 1u);
+  EXPECT_EQ(metrics_.counter("supervision.restarts_succeeded").value(), 1u);
   ASSERT_FALSE(pre_crash_estimates_.empty());
   EXPECT_EQ(recovered_estimates_, pre_crash_estimates_);
   EXPECT_FALSE(estimate_db_->has("ghost-of-crash"));
@@ -412,7 +414,7 @@ TEST_F(SupervisionChaosTest, SteeringCrashMidFig7StillCompletesSteeredJob) {
   sim_.run_until(from_seconds(2000));
 
   EXPECT_TRUE(lookup_failed_in_outage_);
-  EXPECT_EQ(supervisor_.stats().restarts_succeeded, 1u);
+  EXPECT_EQ(metrics_.counter("supervision.restarts_succeeded").value(), 1u);
   ASSERT_TRUE(steering_ != nullptr);
 
   // The revived instance re-adopted the watch from the journal, then made

@@ -351,7 +351,8 @@ TEST(SupervisorTest, RestartsDeadServiceAfterBackoff) {
   supervision::FailureDetector detector(clock, {from_seconds(5), 1, 2});
   supervision::SupervisorOptions options;
   options.restart_backoff = RetryPolicy{3, 1000, 2.0, 60'000, 0.0, 1};
-  supervision::Supervisor supervisor(clock, options, &monitoring);
+  telemetry::MetricsRegistry metrics;
+  supervision::Supervisor supervisor(clock, options, &monitoring, &metrics);
 
   int restarts = 0;
   supervisor.manage({"jobmon@a", [&]() -> Status {
@@ -371,8 +372,8 @@ TEST(SupervisorTest, RestartsDeadServiceAfterBackoff) {
   EXPECT_EQ(supervisor.tick(), 1u);
   EXPECT_EQ(restarts, 1);
   EXPECT_FALSE(supervisor.restart_pending("jobmon@a"));
-  EXPECT_EQ(supervisor.stats().deaths_seen, 1u);
-  EXPECT_EQ(supervisor.stats().restarts_succeeded, 1u);
+  EXPECT_EQ(metrics.counter("supervision.deaths").value(), 1u);
+  EXPECT_EQ(metrics.counter("supervision.restarts_succeeded").value(), 1u);
 
   // The restart re-armed the watch with a fresh baseline.
   EXPECT_EQ(detector.liveness("jobmon@a"), supervision::Liveness::kAlive);
@@ -382,7 +383,8 @@ TEST(SupervisorTest, BacksOffAndEventuallyGivesUp) {
   ManualClock clock;
   supervision::SupervisorOptions options;
   options.restart_backoff = RetryPolicy{3, 1000, 2.0, 60'000, 0.0, 1};
-  supervision::Supervisor supervisor(clock, options);
+  telemetry::MetricsRegistry metrics;
+  supervision::Supervisor supervisor(clock, options, nullptr, &metrics);
 
   int attempts = 0;
   supervisor.manage({"flappy", [&]() -> Status {
@@ -391,7 +393,7 @@ TEST(SupervisorTest, BacksOffAndEventuallyGivesUp) {
                      }});
   supervisor.on_service_dead("flappy");
   supervisor.on_service_dead("flappy");  // idempotent while pending
-  EXPECT_EQ(supervisor.stats().deaths_seen, 2u);
+  EXPECT_EQ(metrics.counter("supervision.deaths").value(), 2u);
 
   // Attempts run at +1 s, then +2 s, then +4 s (capped exponential).
   clock.advance_by(from_millis(1000));
@@ -410,8 +412,8 @@ TEST(SupervisorTest, BacksOffAndEventuallyGivesUp) {
   supervisor.tick();
   EXPECT_EQ(attempts, 3);
   EXPECT_FALSE(supervisor.restart_pending("flappy"));  // gave up
-  EXPECT_EQ(supervisor.stats().gave_up, 1u);
-  EXPECT_EQ(supervisor.stats().restarts_failed, 3u);
+  EXPECT_EQ(metrics.counter("supervision.gave_up").value(), 1u);
+  EXPECT_EQ(metrics.counter("supervision.restarts_failed").value(), 3u);
 
   // Unmanaged names are ignored outright.
   supervisor.on_service_dead("unknown");
@@ -520,14 +522,14 @@ TEST(ClientReResolution, OpenBreakerTriggersRegistryReResolve) {
   auto r = client.call("echo", {rpc::Value(std::int64_t{7})});
   ASSERT_TRUE(r.is_ok()) << r.status();
   EXPECT_EQ(r.value().as_int(), 7);
-  EXPECT_EQ(client.stats().reresolves, 1u);
+  EXPECT_EQ(client.metrics().counter("rpc.client.reresolves").value(), 1u);
   EXPECT_EQ(client.endpoint(0).port, backend_port.value());
   ASSERT_FALSE(transitions.empty());
   EXPECT_EQ(transitions[0].second, CircuitBreaker::State::kOpen);
 
   // Subsequent calls stick to the healthy endpoint with no further churn.
   ASSERT_TRUE(client.call("echo", {rpc::Value(std::int64_t{8})}).is_ok());
-  EXPECT_EQ(client.stats().reresolves, 1u);
+  EXPECT_EQ(client.metrics().counter("rpc.client.reresolves").value(), 1u);
   backend.stop();
 }
 

@@ -173,6 +173,35 @@ TEST(MetricsRegistry, HandlesAreStableAndShared) {
   EXPECT_EQ(registry.snapshot().counters.at("x"), 3u);
 }
 
+TEST(MetricsRegistry, CounterSumTotalsOneFamily) {
+  MetricsRegistry registry;
+  registry.counter("rpc.client.a:1.retries").inc(2);
+  registry.counter("rpc.client.b:2.retries").inc(3);
+  registry.counter("rpc.client.b:2.attempts").inc(7);  // other suffix
+  registry.counter("rpc.clientele.retries").inc(100);  // other prefix
+  EXPECT_EQ(registry.snapshot().counter_sum("rpc.client.", ".retries"), 5u);
+  EXPECT_EQ(registry.snapshot().counter_sum("wal.", ".scrub.corrupt"), 0u);
+}
+
+TEST(Traced, CountsCallsAndErrorsOncePerCall) {
+  MetricsRegistry metrics;
+  int runs = 0;
+  const rpc::Method method = telemetry::traced(
+      nullptr, "svc", "op",
+      [&runs](const rpc::Array& params, const rpc::CallContext&) -> Result<rpc::Value> {
+        ++runs;
+        if (!params.empty()) return invalid_argument_error("op takes no parameters");
+        return rpc::Value(true);
+      },
+      &metrics);
+  ASSERT_TRUE(method({}, {}).is_ok());
+  ASSERT_TRUE(method({}, {}).is_ok());
+  EXPECT_EQ(method({rpc::Value(1)}, {}).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(runs, 3);
+  EXPECT_EQ(metrics.counter("svc.op.calls").value(), 3u);
+  EXPECT_EQ(metrics.counter("svc.op.errors").value(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Trace context plumbing
 // ---------------------------------------------------------------------------
