@@ -6,6 +6,9 @@
 //   dst_sweep [--seeds=N] [--begin=S] [--bench_json=PATH]   sweep mode
 //   dst_sweep --seed=S [--trace]                            replay one seed
 //
+// --trace also prints the network event trace: one line per connect,
+// accept, send (with its byte count), delivery, reset and partition event.
+//
 // Replay is bit-identical: the seed fully determines the schedule, the
 // network jitter, and the workload, so a seed printed by a failing sweep
 // (or by CI) reproduces the identical run here.
@@ -47,6 +50,10 @@ int replay_seed(std::uint64_t seed, bool trace) {
               static_cast<unsigned long long>(result.writes_acked),
               static_cast<unsigned long long>(result.reads_ok),
               static_cast<unsigned long long>(result.reads_err), result.promoted ? 1 : 0);
+  if (trace) {
+    std::printf("trace:\n");
+    for (const auto& line : result.trace) std::printf("  %s\n", line.c_str());
+  }
   if (result.ok) {
     std::printf("seed %llu: all invariants held (%llu checks)\n",
                 static_cast<unsigned long long>(seed),

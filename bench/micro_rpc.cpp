@@ -13,6 +13,7 @@
 #include "bench_json.h"
 #include "common/rng.h"
 #include "rpc/client.h"
+#include "rpc/http.h"
 #include "rpc/jsonrpc.h"
 #include "rpc/server.h"
 #include "rpc/xmlrpc.h"
@@ -137,6 +138,98 @@ void BM_JsonDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JsonDecode)->Arg(4)->Arg(16)->Arg(64);
+
+/// The estimator.runtime exchange of an estimate_query operation: the call
+/// with a site and a task's 6 string attributes, and its 6-member reply,
+/// through all four codec steps (client encode, server decode, server
+/// encode, client decode).
+void BM_JsonRpcEstimatorExchange(benchmark::State& state) {
+  Struct attributes;
+  attributes["executable"] = Value("/usr/local/bin/cmsRun");
+  attributes["jobtype"] = Value("batch");
+  attributes["login"] = Value("user017");
+  attributes["nodes"] = Value("4");
+  attributes["partition"] = Value("compute");
+  attributes["queue"] = Value("standard");
+  const Array params{Value("site-b"), Value(std::move(attributes))};
+  Struct reply;
+  reply["degraded"] = Value(false);
+  reply["estimator"] = Value("regression");
+  reply["samples"] = Value(std::int64_t{37});
+  reply["seconds"] = Value(3845.9289017342);
+  reply["stddev"] = Value(412.50771239);
+  reply["template"] = Value("login+executable+queue");
+  const Value result(std::move(reply));
+  std::int64_t id = 0;
+  for (auto _ : state) {
+    const std::string call = jsonrpc::encode_call("estimator.runtime", params, ++id);
+    auto decoded_call = jsonrpc::decode_call(call);
+    const std::string response = jsonrpc::encode_response(result, decoded_call.value().id);
+    auto decoded_response = jsonrpc::decode_response(response);
+    benchmark::DoNotOptimize(decoded_call);
+    benchmark::DoNotOptimize(decoded_response);
+  }
+}
+BENCHMARK(BM_JsonRpcEstimatorExchange);
+
+/// An in-memory Stream: reads return what earlier writes appended, in
+/// read_some chunks as large as asked for.
+class LoopbackStream final : public Stream {
+ public:
+  bool valid() const override { return true; }
+  Status write_all(const void* data, std::size_t len) override {
+    pending_.append(static_cast<const char*>(data), len);
+    return Status::ok();
+  }
+  using Stream::write_all;
+  Result<std::size_t> read_some(void* buf, std::size_t len) override {
+    const std::size_t n = std::min(len, pending_.size() - read_);
+    pending_.copy(static_cast<char*>(buf), n, read_);
+    read_ += n;
+    if (read_ == pending_.size()) {
+      pending_.clear();
+      read_ = 0;
+    }
+    return n;
+  }
+  Status set_recv_timeout_ms(int) override { return Status::ok(); }
+  bool healthy() const override { return pending_.empty(); }
+  void shutdown_both() override {}
+  void close() override {}
+
+ private:
+  std::string pending_;
+  std::size_t read_ = 0;
+};
+
+/// HTTP framing of one exchange, as RpcClient and the server frame it: the
+/// request (write, then read back) and the response (likewise) over an
+/// in-memory Stream, with estimate_query-sized JSON bodies.
+void BM_HttpFraming(benchmark::State& state) {
+  http::Request req;
+  req.method = "POST";
+  req.path = "/rpc";
+  req.headers["connection"] = "keep-alive";
+  req.headers["content-type"] = "application/json";
+  req.deadline_ms = 400;
+  req.tier = 1;
+  req.body = std::string(243, 'q');
+  http::Response resp;
+  resp.headers["content-type"] = "application/json";
+  resp.body = std::string(158, 'r');
+  LoopbackStream stream;
+  for (auto _ : state) {
+    if (!http::write_request(stream, req).is_ok()) state.SkipWithError("write_request failed");
+    auto got_req = http::read_request(stream);
+    if (!http::write_response(stream, resp, got_req.value().keep_alive()).is_ok()) {
+      state.SkipWithError("write_response failed");
+    }
+    auto got_resp = http::read_response(stream);
+    benchmark::DoNotOptimize(got_req);
+    benchmark::DoNotOptimize(got_resp);
+  }
+}
+BENCHMARK(BM_HttpFraming);
 
 /// Full round trip over loopback TCP, one blocking client.
 void BM_RoundTrip(benchmark::State& state) {

@@ -55,6 +55,7 @@ SeedResult run_seed(std::uint64_t seed, const ExploreOptions& options) {
   result.reads_ok = cluster.reads_ok();
   result.reads_err = cluster.reads_err();
   result.promoted = cluster.promoted();
+  result.trace = cluster.net().trace();
   return result;
 }
 

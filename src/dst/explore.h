@@ -40,6 +40,9 @@ struct SeedResult {
   std::uint64_t reads_ok = 0;
   std::uint64_t reads_err = 0;
   bool promoted = false;
+  /// The network event trace (SimNetwork::trace()) when
+  /// `ExploreOptions::cluster.trace` is set; empty otherwise.
+  std::vector<std::string> trace;
 };
 
 struct ExploreReport {

@@ -41,18 +41,16 @@ Result<std::string> hex_decode(const std::string& hex) {
 
 StandbyReplica::StandbyReplica(std::string stream, WalStorage* storage,
                                telemetry::MetricsRegistry* metrics)
-    : stream_(std::move(stream)), storage_(storage) {
-  if (metrics) {
-    rejections_counter_ = &metrics->counter("ha." + stream_ + ".stale_epoch_rejections");
-    next_seq_gauge_ = &metrics->gauge("ha." + stream_ + ".standby_next_seq");
-  }
-}
+    : stream_(std::move(stream)),
+      storage_(storage),
+      metrics_(metrics),
+      stale_epoch_rejections_(metrics_->counter("ha." + stream_ + ".stale_epoch_rejections")),
+      next_seq_gauge_(metrics_->gauge("ha." + stream_ + ".standby_next_seq")) {}
 
 Result<ReplicaAck> StandbyReplica::apply_append(const AppendBatch& batch) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (batch.epoch < epoch_) {
-    ++stale_epoch_rejections_;
-    if (rejections_counter_) rejections_counter_->inc();
+    stale_epoch_rejections_.inc();
     std::string msg = "stale epoch " + std::to_string(batch.epoch) + " < " +
                       std::to_string(epoch_) + " for stream " + stream_;
     if (!leader_hint_.empty()) msg += " leader=" + leader_hint_;
@@ -98,7 +96,7 @@ Result<ReplicaAck> StandbyReplica::apply_append(const AppendBatch& batch) {
     const Status synced = storage_->sync();
     if (!synced.is_ok()) return synced;
     next_seq_ = end_seq;
-    if (next_seq_gauge_) next_seq_gauge_->set(static_cast<std::int64_t>(next_seq_));
+    next_seq_gauge_.set(static_cast<std::int64_t>(next_seq_));
   }
   return ReplicaAck{epoch_, next_seq_};
 }
@@ -106,8 +104,7 @@ Result<ReplicaAck> StandbyReplica::apply_append(const AppendBatch& batch) {
 Result<ReplicaAck> StandbyReplica::install_snapshot(const SnapshotInstall& snap) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (snap.epoch < epoch_) {
-    ++stale_epoch_rejections_;
-    if (rejections_counter_) rejections_counter_->inc();
+    stale_epoch_rejections_.inc();
     std::string msg = "stale epoch " + std::to_string(snap.epoch) + " < " +
                       std::to_string(epoch_) + " for stream " + stream_;
     if (!leader_hint_.empty()) msg += " leader=" + leader_hint_;
@@ -127,7 +124,7 @@ Result<ReplicaAck> StandbyReplica::install_snapshot(const SnapshotInstall& snap)
   const Status replaced = storage_->replace(snap.bytes);
   if (!replaced.is_ok()) return replaced;
   next_seq_ = snap.next_seq;
-  if (next_seq_gauge_) next_seq_gauge_->set(static_cast<std::int64_t>(next_seq_));
+  next_seq_gauge_.set(static_cast<std::int64_t>(next_seq_));
   return ReplicaAck{epoch_, next_seq_};
 }
 
@@ -188,11 +185,6 @@ std::uint64_t StandbyReplica::next_seq() const {
 std::string StandbyReplica::leader_hint() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return leader_hint_;
-}
-
-std::uint64_t StandbyReplica::stale_epoch_rejections() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stale_epoch_rejections_;
 }
 
 // --- LogShipper ------------------------------------------------------------

@@ -136,8 +136,9 @@ class StandbyReplica {
   std::uint64_t next_seq() const;
   /// "host:port" of the primary whose batches this standby last accepted.
   std::string leader_hint() const;
-  /// Batches rejected for carrying an epoch older than the newest seen.
-  std::uint64_t stale_epoch_rejections() const;
+  /// Batches rejected for carrying an epoch older than the newest seen:
+  /// ha.<stream>.stale_epoch_rejections.
+  std::uint64_t stale_epoch_rejections() const { return stale_epoch_rejections_.value(); }
 
  private:
   std::string stream_;
@@ -146,9 +147,9 @@ class StandbyReplica {
   std::uint64_t epoch_ = 0;
   std::uint64_t next_seq_ = 0;
   std::string leader_hint_;
-  std::uint64_t stale_epoch_rejections_ = 0;
-  telemetry::Counter* rejections_counter_ = nullptr;
-  telemetry::Gauge* next_seq_gauge_ = nullptr;
+  telemetry::RegistryRef metrics_;
+  telemetry::Counter& stale_epoch_rejections_;
+  telemetry::Gauge& next_seq_gauge_;
 };
 
 struct ShipperOptions {

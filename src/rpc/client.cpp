@@ -217,7 +217,7 @@ int RpcClient::remaining_ms(SimTime deadline) const {
   return static_cast<int>((deadline - clock().now()) / 1000);
 }
 
-Result<RpcClient::Checkout> RpcClient::acquire_connection() {
+Result<RpcClient::Checkout> RpcClient::acquire_connection(std::size_t& index) {
   maybe_re_resolve();
   // Sticky walk: start from the endpoint that served the last successful
   // attempt and fall back in list order (wrapping), skipping endpoints whose
@@ -229,25 +229,27 @@ Result<RpcClient::Checkout> RpcClient::acquire_connection() {
   bool any_admitted = false;
   for (std::size_t k = 0;; ++k) {
     Endpoint target;
-    std::size_t index = 0;
+    std::size_t candidate = 0;
     EndpointCounters counters;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (k >= endpoints_.size()) break;
-      index = (preferred_endpoint_ + k) % endpoints_.size();
-      if (!breakers_[index]->allow()) continue;
+      candidate = (preferred_endpoint_ + k) % endpoints_.size();
+      if (k == 0) index = candidate;
+      if (!breakers_[candidate]->allow()) continue;
       any_admitted = true;
-      target = endpoints_[index];
-      counters = endpoint_counters_[index];
+      target = endpoints_[candidate];
+      counters = endpoint_counters_[candidate];
     }
+    index = candidate;
     auto conn = pool_->checkout(target.host, target.port);
     if (!conn.is_ok()) {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (index < breakers_.size()) breakers_[index]->record_failure();
+      if (candidate < breakers_.size()) breakers_[candidate]->record_failure();
       last = conn.status();
       continue;
     }
-    return Checkout{std::move(conn).value(), index, counters};
+    return Checkout{std::move(conn).value(), candidate, counters};
   }
   if (!any_admitted) {
     totals_.breaker_rejections.inc();
@@ -380,11 +382,10 @@ Result<Value> RpcClient::call_attempt(const std::string& method, const Array& pa
                                       SimTime deadline, Criticality tier,
                                       bool& wrote_request, std::size_t& attempt_index) {
   totals_.attempts.inc();
-  auto acquired = acquire_connection();
+  auto acquired = acquire_connection(attempt_index);
   if (!acquired.is_ok()) return acquired.status();
   Checkout checkout = std::move(acquired).value();
   const std::size_t index = checkout.index;
-  attempt_index = index;
   if (index != 0) totals_.failovers.inc();
   checkout.counters.attempts->inc();
 

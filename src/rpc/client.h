@@ -236,15 +236,18 @@ class RpcClient {
   void maybe_re_resolve();
   /// One wire attempt. Sets `wrote_request` once request bytes may have
   /// reached the server (the non-idempotent retry guard keys off this);
-  /// `attempt_index` reports which endpoint served (or last refused) it.
+  /// `attempt_index` reports the endpoint the attempt is charged to, as
+  /// acquire_connection sets it.
   Result<Value> call_attempt(const std::string& method, const Array& params,
                              SimTime deadline, Criticality tier, bool& wrote_request,
                              std::size_t& attempt_index);
 
   /// Checks a connection out for the earliest endpoint in sticky walk order
   /// (starting at preferred_endpoint_) whose breaker admits the call.
-  /// UNAVAILABLE when every endpoint is open or unreachable.
-  Result<Checkout> acquire_connection();
+  /// UNAVAILABLE when every endpoint is open or unreachable. `index` ends at
+  /// the endpoint checked out or, on failure, the last one whose dial failed
+  /// (the walk's first endpoint when every breaker rejected).
+  Result<Checkout> acquire_connection(std::size_t& index);
 
   const Clock& clock() const { return *clock_ptr_; }
   /// Milliseconds until `deadline` (<= 0 means exhausted); deadline 0 = none.

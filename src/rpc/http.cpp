@@ -1,197 +1,229 @@
 #include "rpc/http.h"
 
 #include <algorithm>
-#include <cctype>
-#include <sstream>
+#include <charconv>
+#include <string_view>
 
 namespace gae::rpc::http {
 
 namespace {
 
-std::string to_lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return s;
-}
+/// The most a head read asks for. The head is parsed in place, through
+/// string_views into the buffer it was read into.
+constexpr std::size_t kReadChunk = 4096;
 
-std::string trim(const std::string& s) {
+/// std::isspace in the C locale.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+char to_lower(char c) { return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c; }
+
+std::string_view trim(std::string_view s) {
   std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  while (b < e && is_space(s[b])) ++b;
+  while (e > b && is_space(s[e - 1])) --e;
   return s.substr(b, e - b);
 }
 
-/// Reads from the stream until "\r\n\r\n"; returns header block + any body
-/// bytes already pulled off the socket.
-struct HeadAndSpill {
-  std::string head;
-  std::string spill;
+/// True when `s` equals `lower`, ignoring the case of `s`.
+bool iequals(std::string_view s, std::string_view lower) {
+  return s.size() == lower.size() &&
+         std::equal(s.begin(), s.end(), lower.begin(),
+                    [](char a, char b) { return to_lower(a) == b; });
+}
+
+void append_int(std::string& out, long long v) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, r.ptr);
+}
+
+void append_header(std::string& out, std::string_view name, std::string_view value) {
+  out += name;
+  out += ": ";
+  out += value;
+  out += "\r\n";
+}
+
+/// Splits the head into lines at '\n', as std::getline does, dropping one
+/// trailing '\r' from each.
+class Lines {
+ public:
+  explicit Lines(std::string_view text) : text_(text) {}
+
+  bool next(std::string_view& line) {
+    if (pos_ >= text_.size()) return false;
+    const std::size_t end = std::min(text_.find('\n', pos_), text_.size());
+    line = text_.substr(pos_, end - pos_);
+    pos_ = end + 1;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    return true;
+  }
+
+ private:
+  std::string_view text_;
+  std::size_t pos_ = 0;
 };
 
-Result<HeadAndSpill> read_head(Stream& stream, std::size_t max_header_bytes) {
-  std::string buf;
-  char chunk[4096];
+/// The next whitespace-separated token of `s` (what `istream >> string`
+/// reads), or "" when none is left.
+std::string_view next_token(std::string_view& s) {
+  std::size_t b = 0;
+  while (b < s.size() && is_space(s[b])) ++b;
+  std::size_t e = b;
+  while (e < s.size() && !is_space(s[e])) ++e;
+  const std::string_view token = s.substr(b, e - b);
+  s.remove_prefix(e);
+  return token;
+}
+
+/// Reads until the blank line that ends the head. `buf` receives the head,
+/// the "\r\n\r\n" and whatever body bytes the last read carried; returns the
+/// head's length.
+Result<std::size_t> read_head(Stream& stream, std::string& buf, std::size_t max_header_bytes) {
+  std::size_t scanned = 0;  // the marker cannot start before this
   for (;;) {
-    const auto marker = buf.find("\r\n\r\n");
-    if (marker != std::string::npos) {
-      HeadAndSpill out;
-      out.head = buf.substr(0, marker);
-      out.spill = buf.substr(marker + 4);
-      return out;
-    }
-    auto r = stream.read_some(chunk, sizeof(chunk));
+    const auto marker = buf.find("\r\n\r\n", scanned);
+    if (marker != std::string::npos) return marker;
+    scanned = buf.size() < 3 ? 0 : buf.size() - 3;
+    const std::size_t had = buf.size();
+    buf.resize(had + kReadChunk);
+    auto r = stream.read_some(buf.data() + had, kReadChunk);
+    buf.resize(had + (r.is_ok() ? r.value() : 0));
     if (!r.is_ok()) return r.status();
     if (r.value() == 0) {
       if (buf.empty()) return unavailable_error("connection closed");
       return invalid_argument_error("http: truncated header block");
     }
-    buf.append(chunk, r.value());
     if (buf.size() > max_header_bytes) {
       return invalid_argument_error("http: header block too large");
     }
   }
 }
 
-/// True when the header name in line[0, colon) is `name` (lower-case),
-/// ignoring case and surrounding whitespace. Allocation-free.
-bool header_name_is(const std::string& line, std::size_t colon, const char* name) {
-  std::size_t b = 0, e = colon;
-  while (b < e && std::isspace(static_cast<unsigned char>(line[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(line[e - 1]))) --e;
-  for (std::size_t i = 0; i < e - b; ++i, ++name) {
-    if (std::tolower(static_cast<unsigned char>(line[b + i])) != *name) return false;
-  }
-  return *name == '\0';
-}
-
-/// Parses the value in line[colon+1, end) as a non-negative decimal int
-/// (clamped to INT_MAX), ignoring surrounding whitespace. Allocation-free.
-/// Returns -1 on empty or non-numeric values — callers treat that as absent.
-int header_value_int(const std::string& line, std::size_t colon) {
-  std::size_t b = colon + 1, e = line.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(line[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(line[e - 1]))) --e;
-  if (b == e) return -1;
-  long long value = 0;
-  for (std::size_t i = b; i < e; ++i) {
-    const char c = line[i];
+/// Parses a header value as a non-negative decimal int (clamped to 2e9),
+/// ignoring surrounding whitespace. -1 on empty or non-numeric values —
+/// callers treat that as absent.
+int header_value_int(std::string_view value) {
+  value = trim(value);
+  if (value.empty()) return -1;
+  long long parsed = 0;
+  for (const char c : value) {
     if (c < '0' || c > '9') return -1;
-    value = value * 10 + (c - '0');
-    if (value > 2'000'000'000LL) return 2'000'000'000;
+    parsed = parsed * 10 + (c - '0');
+    if (parsed > 2'000'000'000LL) return 2'000'000'000;
   }
-  return static_cast<int>(value);
+  return static_cast<int>(parsed);
 }
 
-/// `trace_out`, when non-null, receives the x-gae-trace value directly and
-/// keeps that header out of the generic map (hot-path allocation trim); the
-/// same applies to `deadline_out` / `tier_out` for x-gae-deadline and
-/// x-gae-tier (request-only headers).
-Status parse_headers(std::istringstream& lines, std::map<std::string, std::string>& out,
-                     std::string* trace_out = nullptr, int* deadline_out = nullptr,
-                     int* tier_out = nullptr) {
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+/// Parses the header lines left in `lines` into `out` (names lower-cased,
+/// names and values trimmed, the last of a repeated name wins). A request
+/// passes `req`: its x-gae-trace, x-gae-deadline and x-gae-tier headers go
+/// to their dedicated slots instead of the map.
+Status parse_headers(Lines& lines, Headers& out, Request* req = nullptr) {
+  std::string_view line;
+  while (lines.next(line)) {
     if (line.empty()) continue;
     const auto colon = line.find(':');
-    if (colon == std::string::npos) return invalid_argument_error("http: malformed header: " + line);
-    if (trace_out && header_name_is(line, colon, "x-gae-trace")) {
-      std::size_t b = colon + 1, e = line.size();
-      while (b < e && std::isspace(static_cast<unsigned char>(line[b]))) ++b;
-      while (e > b && std::isspace(static_cast<unsigned char>(line[e - 1]))) --e;
-      trace_out->assign(line, b, e - b);
-      continue;
+    if (colon == std::string_view::npos) {
+      return invalid_argument_error("http: malformed header: " + std::string(line));
     }
-    if (deadline_out && header_name_is(line, colon, "x-gae-deadline")) {
-      *deadline_out = header_value_int(line, colon);
-      continue;
+    const std::string_view name = trim(line.substr(0, colon));
+    const std::string_view value = trim(line.substr(colon + 1));
+    if (req && iequals(name, "x-gae-trace")) {
+      req->trace.assign(value);
+    } else if (req && iequals(name, "x-gae-deadline")) {
+      req->deadline_ms = header_value_int(value);
+    } else if (req && iequals(name, "x-gae-tier")) {
+      req->tier = header_value_int(value);
+    } else {
+      std::string key(name);
+      for (char& c : key) c = to_lower(c);
+      out.insert_or_assign(std::move(key), std::string(value));
     }
-    if (tier_out && header_name_is(line, colon, "x-gae-tier")) {
-      *tier_out = header_value_int(line, colon);
-      continue;
-    }
-    out[to_lower(trim(line.substr(0, colon)))] = trim(line.substr(colon + 1));
   }
   return Status::ok();
 }
 
-Result<std::string> read_body(Stream& stream, std::string spill,
-                              const std::map<std::string, std::string>& headers,
-                              std::size_t max_body_bytes) {
+/// Turns `buf` (head, marker and spilled body bytes, as read_head left it)
+/// into the body: drops the head, then reads the rest of the Content-Length
+/// with one read_exact.
+Result<std::string> read_body(Stream& stream, std::string buf, std::size_t body_start,
+                              const Headers& headers, std::size_t max_body_bytes) {
   std::size_t content_length = 0;
   auto it = headers.find("content-length");
   if (it != headers.end()) {
     // Strict parse: digits only, every byte checked, range-checked against
-    // the body cap as the digits accumulate (so "999...9" cannot wrap).
-    // stoull would silently accept a partial parse ("123abc" -> 123) and a
-    // leading sign ("-1" -> huge), desyncing the framing from what the peer
-    // actually sent.
+    // the body cap as the digits accumulate (so "999...9" cannot wrap). A
+    // partial parse ("123abc" -> 123) or a sign ("-1" -> huge) would desync
+    // the framing from what the peer actually sent.
     const std::string& text = it->second;
-    if (text.empty()) {
-      return invalid_argument_error("http: bad content-length: empty");
-    }
+    if (text.empty()) return invalid_argument_error("http: bad content-length: empty");
     for (const char c : text) {
-      if (c < '0' || c > '9') {
-        return invalid_argument_error("http: bad content-length: " + text);
-      }
+      if (c < '0' || c > '9') return invalid_argument_error("http: bad content-length: " + text);
       content_length = content_length * 10 + static_cast<std::size_t>(c - '0');
-      if (content_length > max_body_bytes) {
-        return invalid_argument_error("http: body too large");
-      }
+      if (content_length > max_body_bytes) return invalid_argument_error("http: body too large");
     }
   }
-  if (content_length > max_body_bytes) return invalid_argument_error("http: body too large");
-  if (spill.size() > content_length) {
+  const std::size_t spilled = buf.size() - body_start;
+  if (spilled > content_length) {
     // Pipelined extra bytes are unsupported by this minimal framing.
     return invalid_argument_error("http: unexpected bytes after body");
   }
-  std::string body = std::move(spill);
-  const std::size_t remaining = content_length - body.size();
-  if (remaining > 0) {
-    std::string rest(remaining, '\0');
-    const Status s = stream.read_exact(rest.data(), remaining);
+  buf.erase(0, body_start);
+  if (spilled < content_length) {
+    buf.resize(content_length);
+    const Status s = stream.read_exact(buf.data() + spilled, content_length - spilled);
     if (!s.is_ok()) return s;
-    body += rest;
   }
-  return body;
+  return buf;
+}
+
+/// The value of header `key` (any case), or `fallback`.
+std::string header_or(const Headers& headers, const std::string& key,
+                      const std::string& fallback) {
+  std::string lowered(key);
+  for (char& c : lowered) c = to_lower(c);
+  auto it = headers.find(lowered);
+  return it == headers.end() ? fallback : it->second;
 }
 
 }  // namespace
 
 std::string Request::header(const std::string& key, const std::string& fallback) const {
-  auto it = headers.find(to_lower(key));
-  return it == headers.end() ? fallback : it->second;
+  return header_or(headers, key, fallback);
 }
 
 bool Request::keep_alive() const {
-  return to_lower(header("connection", "keep-alive")) != "close";
+  auto it = headers.find("connection");
+  return it == headers.end() || !iequals(it->second, "close");
 }
 
 std::string Response::header(const std::string& key, const std::string& fallback) const {
-  auto it = headers.find(to_lower(key));
-  return it == headers.end() ? fallback : it->second;
+  return header_or(headers, key, fallback);
 }
 
 Result<Request> read_request(Stream& stream, const ReadLimits& limits) {
-  auto head = read_head(stream, limits.max_header_bytes);
+  std::string buf;
+  auto head = read_head(stream, buf, limits.max_header_bytes);
   if (!head.is_ok()) return head.status();
 
-  std::istringstream lines(head.value().head);
-  std::string request_line;
-  if (!std::getline(lines, request_line)) return invalid_argument_error("http: empty request");
-  if (!request_line.empty() && request_line.back() == '\r') request_line.pop_back();
-
-  Request req;
-  std::istringstream rl(request_line);
-  std::string version;
-  if (!(rl >> req.method >> req.path >> version)) {
-    return invalid_argument_error("http: malformed request line: " + request_line);
+  Lines lines(std::string_view(buf.data(), head.value()));
+  std::string_view request_line;
+  if (!lines.next(request_line)) return invalid_argument_error("http: empty request");
+  std::string_view rest = request_line;
+  const std::string_view method = next_token(rest);
+  const std::string_view path = next_token(rest);
+  const std::string_view version = next_token(rest);
+  if (version.empty()) {
+    return invalid_argument_error("http: malformed request line: " + std::string(request_line));
   }
-  const Status hs =
-      parse_headers(lines, req.headers, &req.trace, &req.deadline_ms, &req.tier);
+  Request req;
+  req.method.assign(method);
+  req.path.assign(path);
+  const Status hs = parse_headers(lines, req.headers, &req);
   if (!hs.is_ok()) return hs;
 
-  auto body = read_body(stream, std::move(head.value().spill), req.headers,
+  auto body = read_body(stream, std::move(buf), head.value() + 4, req.headers,
                         limits.max_body_bytes);
   if (!body.is_ok()) return body.status();
   req.body = std::move(body).value();
@@ -199,49 +231,70 @@ Result<Request> read_request(Stream& stream, const ReadLimits& limits) {
 }
 
 Status write_request(Stream& stream, const Request& req) {
-  std::ostringstream out;
-  out << req.method << ' ' << req.path << " HTTP/1.1\r\n";
+  std::string out;
+  out.reserve(256 + req.body.size());
+  out += req.method;
+  out += ' ';
+  out += req.path;
+  out += " HTTP/1.1\r\n";
   bool have_host = false;
   for (const auto& [k, v] : req.headers) {
     // A caller-supplied content-length that disagrees with the body would
     // desync framing on the persistent connection (the peer reads too few or
     // too many bytes, corrupting every later exchange) — always emit the
-    // actual size, as write_response already does.
+    // actual size, as write_response does.
     if (k == "content-length") continue;
-    out << k << ": " << v << "\r\n";
+    append_header(out, k, v);
     if (k == "host") have_host = true;
   }
-  if (!have_host) out << "host: localhost\r\n";
-  if (!req.trace.empty()) out << "x-gae-trace: " << req.trace << "\r\n";
-  if (req.deadline_ms >= 0) out << "x-gae-deadline: " << req.deadline_ms << "\r\n";
-  if (req.tier >= 0) out << "x-gae-tier: " << req.tier << "\r\n";
-  out << "content-length: " << req.body.size() << "\r\n";
-  out << "\r\n" << req.body;
-  return stream.write_all(out.str());
+  if (!have_host) out += "host: localhost\r\n";
+  if (!req.trace.empty()) append_header(out, "x-gae-trace", req.trace);
+  if (req.deadline_ms >= 0) {
+    out += "x-gae-deadline: ";
+    append_int(out, req.deadline_ms);
+    out += "\r\n";
+  }
+  if (req.tier >= 0) {
+    out += "x-gae-tier: ";
+    append_int(out, req.tier);
+    out += "\r\n";
+  }
+  out += "content-length: ";
+  append_int(out, static_cast<long long>(req.body.size()));
+  out += "\r\n\r\n";
+  out += req.body;
+  return stream.write_all(out);
 }
 
 Result<Response> read_response(Stream& stream, const ReadLimits& limits) {
-  auto head = read_head(stream, limits.max_header_bytes);
+  std::string buf;
+  auto head = read_head(stream, buf, limits.max_header_bytes);
   if (!head.is_ok()) return head.status();
 
-  std::istringstream lines(head.value().head);
-  std::string status_line;
-  if (!std::getline(lines, status_line)) return invalid_argument_error("http: empty response");
-  if (!status_line.empty() && status_line.back() == '\r') status_line.pop_back();
-
+  Lines lines(std::string_view(buf.data(), head.value()));
+  std::string_view status_line;
+  if (!lines.next(status_line)) return invalid_argument_error("http: empty response");
+  // "<version> <code> <reason>", read as `istream >> version >> code` and
+  // then the rest of the line: the code is a decimal int with an optional
+  // sign, and when nothing at all follows it the reason stays "OK".
+  std::string_view rest = status_line;
+  const bool have_version = !next_token(rest).empty();
+  while (!rest.empty() && is_space(rest.front())) rest.remove_prefix(1);
   Response resp;
-  std::istringstream sl(status_line);
-  std::string version;
-  if (!(sl >> version >> resp.status_code)) {
-    return invalid_argument_error("http: malformed status line: " + status_line);
+  const bool plus = !rest.empty() && rest.front() == '+';
+  const char* first = rest.data() + (plus ? 1 : 0);
+  const char* last = rest.data() + rest.size();
+  const auto code = std::from_chars(first, last, resp.status_code);
+  if (!have_version || (plus && first < last && *first == '-') || code.ec != std::errc()) {
+    return invalid_argument_error("http: malformed status line: " + std::string(status_line));
   }
-  std::getline(sl, resp.reason);
-  resp.reason = trim(resp.reason);
+  rest.remove_prefix(static_cast<std::size_t>(code.ptr - rest.data()));
+  if (!rest.empty()) resp.reason.assign(trim(rest));
 
   const Status hs = parse_headers(lines, resp.headers);
   if (!hs.is_ok()) return hs;
 
-  auto body = read_body(stream, std::move(head.value().spill), resp.headers,
+  auto body = read_body(stream, std::move(buf), head.value() + 4, resp.headers,
                         limits.max_body_bytes);
   if (!body.is_ok()) return body.status();
   resp.body = std::move(body).value();
@@ -249,16 +302,23 @@ Result<Response> read_response(Stream& stream, const ReadLimits& limits) {
 }
 
 Status write_response(Stream& stream, const Response& resp, bool keep_alive) {
-  std::ostringstream out;
-  out << "HTTP/1.1 " << resp.status_code << ' ' << resp.reason << "\r\n";
+  std::string out;
+  out.reserve(128 + resp.body.size());
+  out += "HTTP/1.1 ";
+  append_int(out, resp.status_code);
+  out += ' ';
+  out += resp.reason;
+  out += "\r\n";
   for (const auto& [k, v] : resp.headers) {
     if (k == "content-length" || k == "connection") continue;
-    out << k << ": " << v << "\r\n";
+    append_header(out, k, v);
   }
-  out << "connection: " << (keep_alive ? "keep-alive" : "close") << "\r\n";
-  out << "content-length: " << resp.body.size() << "\r\n\r\n";
-  out << resp.body;
-  return stream.write_all(out.str());
+  out += keep_alive ? "connection: keep-alive\r\n" : "connection: close\r\n";
+  out += "content-length: ";
+  append_int(out, static_cast<long long>(resp.body.size()));
+  out += "\r\n\r\n";
+  out += resp.body;
+  return stream.write_all(out);
 }
 
 }  // namespace gae::rpc::http

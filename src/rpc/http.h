@@ -1,7 +1,15 @@
 // Minimal HTTP/1.1 framing: enough for POST-based RPC with keep-alive and
 // Content-Length bodies. Not a general web server.
+//
+// Each message is one buffer: the reader pulls the head in read_some chunks
+// of at most 4096 bytes, then the rest of the body with one read_exact, into
+// one string that becomes the body; the writer sends the whole message with
+// one write_all. The simulated network (dst::SimNetwork) draws its faults
+// per write and schedules per read, so this pattern is part of every DST
+// schedule.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <string>
 
@@ -10,10 +18,15 @@
 
 namespace gae::rpc::http {
 
+/// Header fields by lower-cased name. The comparator is transparent, so a
+/// lookup by a lower-case literal (`headers.find("content-type")`) builds no
+/// key string.
+using Headers = std::map<std::string, std::string, std::less<>>;
+
 struct Request {
   std::string method = "POST";
   std::string path = "/";
-  std::map<std::string, std::string> headers;  // keys lower-cased
+  Headers headers;
   std::string body;
   /// The x-gae-trace header, carried outside the generic map: it is on the
   /// hot path of every traced RPC, and the map costs a node allocation plus
@@ -27,14 +40,16 @@ struct Request {
   /// dedicated-slot design. -1 = absent.
   int tier = -1;
 
+  /// The value of header `key` (any case), or `fallback`.
   std::string header(const std::string& key, const std::string& fallback = "") const;
+  /// False only for "Connection: close" (any case).
   bool keep_alive() const;
 };
 
 struct Response {
   int status_code = 200;
   std::string reason = "OK";
-  std::map<std::string, std::string> headers;  // keys lower-cased
+  Headers headers;
   std::string body;
 
   std::string header(const std::string& key, const std::string& fallback = "") const;

@@ -185,9 +185,11 @@ StatusCode fault_code_to_status(int fault_code) {
 // framed HTTP response", private to RequestEngine.
 namespace {
 
-/// True when the request's content type selects the JSON-RPC codec.
+/// True when the request's content type selects the JSON-RPC codec (absent
+/// means text/xml).
 bool rpc_request_is_json(const http::Request& req) {
-  return req.header("content-type", "text/xml").find("json") != std::string::npos;
+  auto it = req.headers.find("content-type");
+  return it != req.headers.end() && it->second.find("json") != std::string::npos;
 }
 
 /// Builds the per-call context from the request's transport fields.
@@ -195,7 +197,9 @@ bool rpc_request_is_json(const http::Request& req) {
 CallContext rpc_context_from_request(const http::Request& req, std::int64_t picked_up_us,
                                      std::int64_t queue_delay_us) {
   CallContext ctx;
-  ctx.session_token = req.header("x-clarens-session");
+  if (auto it = req.headers.find("x-clarens-session"); it != req.headers.end()) {
+    ctx.session_token = it->second;
+  }
   ctx.protocol = rpc_request_is_json(req) ? "jsonrpc" : "xmlrpc";
   // Trace context rides the x-gae-trace header.
   ctx.trace = req.trace;
@@ -265,14 +269,15 @@ http::Response rpc_shed_response(bool is_json) {
 }  // namespace
 
 RequestEngine::RequestEngine(std::shared_ptr<Dispatcher> dispatcher, ConnectionOptions options)
-    : dispatcher_(std::move(dispatcher)), options_(options) {
-  if (options_.metrics && options_.admission) {
-    shed_counter_ = &options_.metrics->counter("rpc.server.requests_shed");
-    queue_shed_counter_ = &options_.metrics->counter("rpc.server.queue_shed");
-    admission_limit_gauge_ = &options_.metrics->gauge("rpc.server.admission_limit");
-    brownout_gauge_ = &options_.metrics->gauge("rpc.server.brownout");
-  }
-}
+    : dispatcher_(std::move(dispatcher)),
+      options_(options),
+      metrics_(options_.metrics),
+      requests_shed_(metrics_->counter("rpc.server.requests_shed")),
+      queue_shed_(metrics_->counter("rpc.server.queue_shed")),
+      timed_out_(metrics_->counter("rpc.server.connections_timed_out")),
+      bad_requests_(metrics_->counter("rpc.server.bad_requests")),
+      admission_limit_(metrics_->gauge("rpc.server.admission_limit")),
+      brownout_(metrics_->gauge("rpc.server.brownout")) {}
 
 void RequestEngine::open(Stream& stream) const {
   stream.set_no_delay(true);
@@ -282,15 +287,14 @@ void RequestEngine::open(Stream& stream) const {
 void RequestEngine::read_failed(Stream& stream, const Status& status) {
   if (status.code() == StatusCode::kDeadlineExceeded) {
     // Peer sat silent past the receive timeout; reclaim the connection.
-    timeouts_.fetch_add(1, std::memory_order_relaxed);
-    if (options_.metrics) options_.metrics->counter("rpc.server.connections_timed_out").inc();
+    timed_out_.inc();
   } else if (status.code() == StatusCode::kInvalidArgument) {
     // Malformed framing (bad request line, unparseable content-length,
     // oversized header/body). Tell the peer why before closing — a
     // best-effort 400; a write failure here changes nothing, the
     // connection is closing either way.
     GAE_LOG(Debug) << "rpc request framing error: " << status;
-    if (options_.metrics) options_.metrics->counter("rpc.server.bad_requests").inc();
+    bad_requests_.inc();
     http::Response bad;
     bad.status_code = 400;
     bad.reason = "Bad Request";
@@ -333,9 +337,8 @@ bool RequestEngine::serve_one(Stream& stream, ConnectionState& conn) {
   const bool queue_shed = admission && first_request &&
                           admission->queue_overloaded(static_cast<std::uint64_t>(queue_delay_us));
   if (admission && (queue_shed || !admission->try_admit(ctx.tier))) {
-    if (queue_shed && queue_shed_counter_) queue_shed_counter_->inc();
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    if (shed_counter_) shed_counter_->inc();
+    if (queue_shed) queue_shed_.inc();
+    requests_shed_.inc();
     requests_.fetch_add(1, std::memory_order_relaxed);
     const bool shed_keep_alive = keep_alive && !queue_shed;
     return http::write_response(stream, rpc_shed_response(is_json), shed_keep_alive).is_ok() &&
@@ -359,10 +362,8 @@ bool RequestEngine::serve_one(Stream& stream, ConnectionState& conn) {
         auto result = dispatcher_->dispatch(method, params, call_ctx);
         if (admission) {
           admission->on_sample(static_cast<std::uint64_t>(steady_now_us() - start_us));
-          if (admission_limit_gauge_) {
-            admission_limit_gauge_->set(static_cast<std::int64_t>(admission->limit()));
-            brownout_gauge_->set(admission->browned_out() ? 1 : 0);
-          }
+          admission_limit_.set(static_cast<std::int64_t>(admission->limit()));
+          brownout_.set(admission->browned_out() ? 1 : 0);
         }
         return result;
       });
@@ -372,7 +373,11 @@ bool RequestEngine::serve_one(Stream& stream, ConnectionState& conn) {
 }
 
 RpcServer::RpcServer(std::shared_ptr<Dispatcher> dispatcher, ServerOptions options)
-    : options_(options), engine_(std::move(dispatcher), options.connection) {}
+    : options_(options),
+      engine_(std::move(dispatcher), options.connection),
+      rejected_(engine_.metrics().counter("rpc.server.connections_rejected")),
+      queue_depth_(engine_.metrics().gauge("rpc.server.queue_depth")),
+      connections_(engine_.metrics().gauge("rpc.server.connections")) {}
 
 RpcServer::~RpcServer() { stop(); }
 
@@ -416,7 +421,6 @@ void RpcServer::unregister_connection(Stream* stream) {
 void RpcServer::accept_loop() {
   const std::size_t max_in_flight =
       options_.max_in_flight > 0 ? options_.max_in_flight : 2 * options_.num_workers;
-  telemetry::MetricsRegistry* metrics = options_.connection.metrics;
   while (running_.load()) {
     auto stream = listener_->accept();
     if (!stream.is_ok()) {
@@ -429,8 +433,7 @@ void RpcServer::accept_loop() {
     // would only deepen the worker queue (slowloris amplification), so shed
     // it at the door instead.
     if (in_flight_.load(std::memory_order_relaxed) >= max_in_flight) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics) metrics->counter("rpc.server.connections_rejected").inc();
+      rejected_.inc();
       continue;  // stream destructor closes the socket
     }
     in_flight_.fetch_add(1, std::memory_order_relaxed);
@@ -439,26 +442,20 @@ void RpcServer::accept_loop() {
     // bound and the first request's deadline budget.
     const std::int64_t accepted_at_us = steady_now_us();
     std::shared_ptr<Stream> conn = std::move(stream).value();
-    const bool ok = pool_->submit([this, metrics, conn, accepted_at_us]() mutable {
+    const bool ok = pool_->submit([this, conn, accepted_at_us]() mutable {
       serve_connection(*conn, accepted_at_us);
       const auto remaining = in_flight_.fetch_sub(1, std::memory_order_relaxed) - 1;
-      if (metrics) {
-        metrics->gauge("rpc.server.connections").set(static_cast<std::int64_t>(remaining));
-      }
+      connections_.set(static_cast<std::int64_t>(remaining));
     });
     if (!ok) {
       in_flight_.fetch_sub(1, std::memory_order_relaxed);
       return;
     }
-    if (metrics) {
-      // Queue depth right after admission is the moment it peaks: every
-      // admitted connection beyond the worker count is sitting in the pool
-      // queue (the fig-6 knee the paper measures).
-      metrics->gauge("rpc.server.queue_depth")
-          .set(static_cast<std::int64_t>(pool_->queued()));
-      metrics->gauge("rpc.server.connections")
-          .set(static_cast<std::int64_t>(in_flight_.load(std::memory_order_relaxed)));
-    }
+    // Queue depth right after admission is the moment it peaks: every
+    // admitted connection beyond the worker count is sitting in the pool
+    // queue (the fig-6 knee the paper measures).
+    queue_depth_.set(static_cast<std::int64_t>(pool_->queued()));
+    connections_.set(static_cast<std::int64_t>(in_flight_.load(std::memory_order_relaxed)));
   }
 }
 

@@ -129,11 +129,12 @@ struct ConnectionOptions {
   /// Request framing caps (oversized peers get a 400 + close).
   std::size_t max_header_bytes = 1u << 20;
   std::size_t max_body_bytes = 64u << 20;
-  /// When set, the engine counts rpc.server.{bad_requests,
-  /// connections_timed_out} and, with admission, rpc.server.{requests_shed,
-  /// queue_shed} and the rpc.server.{admission_limit,brownout} gauges;
-  /// RpcServer adds its acceptor gauges. Per-method metrics live on the
-  /// Dispatcher (set_telemetry). Must outlive the host.
+  /// Where the engine counts rpc.server.{bad_requests,connections_timed_out,
+  /// requests_shed,queue_shed} and keeps the rpc.server.{admission_limit,
+  /// brownout} gauges (0 without admission); RpcServer adds its acceptor
+  /// gauges and connections_rejected. Null = a registry the engine owns.
+  /// Per-method metrics live on the Dispatcher (set_telemetry). Must outlive
+  /// the host.
   telemetry::MetricsRegistry* metrics = nullptr;
   /// Adaptive per-request admission control. When set, every request must
   /// take a ticket from the controller before its body is decoded; refused
@@ -172,10 +173,15 @@ class RequestEngine {
 
   /// Requests answered, admission sheds included.
   std::uint64_t requests_served() const { return requests_.load(); }
-  /// Requests refused by the admission controller (ticket and CoDel sheds).
-  std::uint64_t requests_shed() const { return shed_.load(); }
-  /// Connections closed because the peer went silent past recv_timeout_ms.
-  std::uint64_t connections_timed_out() const { return timeouts_.load(); }
+  /// Requests refused by the admission controller (ticket and CoDel sheds):
+  /// rpc.server.requests_shed.
+  std::uint64_t requests_shed() const { return requests_shed_.value(); }
+  /// Connections closed because the peer went silent past recv_timeout_ms:
+  /// rpc.server.connections_timed_out.
+  std::uint64_t connections_timed_out() const { return timed_out_.value(); }
+
+  /// The registry the engine counts into: options.metrics, or its own.
+  telemetry::MetricsRegistry& metrics() const { return *metrics_; }
 
  private:
   void read_failed(Stream& stream, const Status& status);
@@ -183,14 +189,13 @@ class RequestEngine {
   std::shared_ptr<Dispatcher> dispatcher_;
   ConnectionOptions options_;
   std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> timeouts_{0};
-  /// Pre-resolved admission telemetry (armed when both metrics and admission
-  /// are configured) so the shed path never builds names.
-  telemetry::Counter* shed_counter_ = nullptr;
-  telemetry::Counter* queue_shed_counter_ = nullptr;
-  telemetry::Gauge* admission_limit_gauge_ = nullptr;
-  telemetry::Gauge* brownout_gauge_ = nullptr;
+  telemetry::RegistryRef metrics_;
+  telemetry::Counter& requests_shed_;
+  telemetry::Counter& queue_shed_;
+  telemetry::Counter& timed_out_;
+  telemetry::Counter& bad_requests_;
+  telemetry::Gauge& admission_limit_;
+  telemetry::Gauge& brownout_;
 };
 
 struct ServerOptions {
@@ -203,10 +208,10 @@ struct ServerOptions {
   /// Byte transport to listen on; null = the process-wide TCP transport.
   /// Must outlive the server.
   Transport* transport = nullptr;
-  /// Per-connection settings. With connection.metrics set the server also
-  /// keeps rpc.server.queue_depth (worker-pool backlog) and
-  /// rpc.server.connections gauges current and counts
-  /// rpc.server.connections_rejected.
+  /// Per-connection settings. The server also keeps the
+  /// rpc.server.queue_depth (worker-pool backlog) and rpc.server.connections
+  /// gauges current and counts rpc.server.connections_rejected, in
+  /// connection.metrics or the engine's own registry.
   ConnectionOptions connection{};
 };
 
@@ -229,8 +234,9 @@ class RpcServer {
   /// Total requests served (all connections).
   std::uint64_t requests_served() const { return engine_.requests_served(); }
 
-  /// Connections dropped at accept because max_in_flight was reached.
-  std::uint64_t connections_rejected() const { return rejected_.load(); }
+  /// Connections dropped at accept because max_in_flight was reached:
+  /// rpc.server.connections_rejected.
+  std::uint64_t connections_rejected() const { return rejected_.value(); }
 
   /// Connections closed because the peer went silent past recv_timeout_ms.
   std::uint64_t connections_timed_out() const { return engine_.connections_timed_out(); }
@@ -254,7 +260,9 @@ class RpcServer {
   std::unique_ptr<ThreadPool> pool_;
   std::thread acceptor_;
   std::atomic<bool> running_{false};
-  std::atomic<std::uint64_t> rejected_{0};
+  telemetry::Counter& rejected_;
+  telemetry::Gauge& queue_depth_;
+  telemetry::Gauge& connections_;
   std::atomic<std::size_t> in_flight_{0};
   std::uint16_t port_ = 0;
   std::mutex conns_mutex_;

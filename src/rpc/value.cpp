@@ -60,6 +60,11 @@ const Struct& Value::as_struct() const {
   type_error("struct", type_name());
 }
 
+std::string& Value::as_string() {
+  if (auto* p = std::get_if<std::string>(&data_)) return *p;
+  type_error("string", type_name());
+}
+
 Array& Value::as_array() {
   if (auto* p = std::get_if<Array>(&data_)) return *p;
   type_error("array", type_name());

@@ -64,6 +64,7 @@ class Value {
   const std::string& as_string() const;
   const Array& as_array() const;
   const Struct& as_struct() const;
+  std::string& as_string();
   Array& as_array();
   Struct& as_struct();
 

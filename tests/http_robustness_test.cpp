@@ -2,6 +2,7 @@
 // inputs without hanging or crashing, and HTTP framing must round-trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -358,6 +359,155 @@ TEST(HttpFraming, ConnectionCloseHeaderRespected) {
   auto got = http::read_request(served.value());
   ASSERT_TRUE(got.is_ok());
   EXPECT_FALSE(got.value().keep_alive());
+}
+
+/// An in-memory Stream: reads return what the constructor and earlier writes
+/// supplied, at most `max_read` bytes per read_some call (1 = the most
+/// fragmented arrival a peer can produce); it counts reads and writes.
+class MemoryStream final : public Stream {
+ public:
+  explicit MemoryStream(std::string input = "", std::size_t max_read = 1)
+      : input_(std::move(input)), max_read_(max_read) {}
+
+  bool valid() const override { return true; }
+  Status write_all(const void* data, std::size_t len) override {
+    ++writes_;
+    input_.append(static_cast<const char*>(data), len);
+    return Status::ok();
+  }
+  using Stream::write_all;
+  Result<std::size_t> read_some(void* buf, std::size_t len) override {
+    ++reads_;
+    const std::size_t n = std::min({len, max_read_, input_.size() - pos_});
+    input_.copy(static_cast<char*>(buf), n, pos_);
+    pos_ += n;
+    return n;
+  }
+  Status set_recv_timeout_ms(int) override { return Status::ok(); }
+  bool healthy() const override { return pos_ == input_.size(); }
+  void shutdown_both() override {}
+  void close() override {}
+
+  std::size_t unread() const { return input_.size() - pos_; }
+  int writes() const { return writes_; }
+  int reads() const { return reads_; }
+
+ private:
+  std::string input_;
+  std::size_t max_read_;
+  std::size_t pos_ = 0;
+  int writes_ = 0;
+  int reads_ = 0;
+};
+
+TEST(HttpFraming, RequestAndResponseSurviveOneByteReads) {
+  MemoryStream stream;
+  http::Request req;
+  req.method = "POST";
+  req.path = "/rpc";
+  req.headers["content-type"] = "application/json";
+  req.headers["x-clarens-session"] = "tok";
+  req.trace = "1f;2e;3d";
+  req.deadline_ms = 250;
+  req.tier = 2;
+  req.body = R"({"id":1,"jsonrpc":"2.0","method":"m","params":[]})";
+  ASSERT_TRUE(http::write_request(stream, req).is_ok());
+  EXPECT_EQ(stream.writes(), 1);  // one buffer, one write
+
+  auto got = http::read_request(stream);
+  ASSERT_TRUE(got.is_ok()) << got.status();
+  EXPECT_EQ(got.value().method, "POST");
+  EXPECT_EQ(got.value().path, "/rpc");
+  EXPECT_EQ(got.value().header("content-type"), "application/json");
+  EXPECT_EQ(got.value().header("x-clarens-session"), "tok");
+  EXPECT_EQ(got.value().trace, "1f;2e;3d");
+  EXPECT_EQ(got.value().deadline_ms, 250);
+  EXPECT_EQ(got.value().tier, 2);
+  EXPECT_EQ(got.value().body, req.body);
+  EXPECT_EQ(stream.unread(), 0u);  // nothing past the body was consumed
+
+  http::Response resp;
+  resp.status_code = 503;
+  resp.reason = "Service Unavailable";
+  resp.headers["content-type"] = "text/xml";
+  resp.body = "<methodResponse/>";
+  ASSERT_TRUE(http::write_response(stream, resp, /*keep_alive=*/true).is_ok());
+  EXPECT_EQ(stream.writes(), 2);
+  auto back = http::read_response(stream);
+  ASSERT_TRUE(back.is_ok()) << back.status();
+  EXPECT_EQ(back.value().status_code, 503);
+  EXPECT_EQ(back.value().reason, "Service Unavailable");
+  EXPECT_EQ(back.value().header("connection"), "keep-alive");
+  EXPECT_EQ(back.value().header("content-length"), std::to_string(resp.body.size()));
+  EXPECT_EQ(back.value().body, resp.body);
+  EXPECT_EQ(stream.unread(), 0u);
+}
+
+TEST(HttpFraming, HeaderNamesMatchInAnyCaseAndIgnoreSurroundingBlanks) {
+  MemoryStream stream(
+      "POST  /rpc \tHTTP/1.1\r\n"
+      "  Content-TYPE \t:  application/json-rpc \r\n"
+      "X-GAE-Trace :\t a;b;c \r\n"
+      " x-Gae-Deadline: 75 \r\n"
+      "X-GAE-TIER:1\r\n"
+      "Connection:  CLOSE\r\n"
+      "CONTENT-LENGTH : 3\r\n"
+      "\r\nabc");
+  auto got = http::read_request(stream);
+  ASSERT_TRUE(got.is_ok()) << got.status();
+  const http::Request& req = got.value();
+  EXPECT_EQ(req.method, "POST");
+  EXPECT_EQ(req.path, "/rpc");
+  EXPECT_EQ(req.header("content-type"), "application/json-rpc");
+  EXPECT_EQ(req.header("Content-Type"), "application/json-rpc");
+  EXPECT_EQ(req.trace, "a;b;c");
+  EXPECT_EQ(req.deadline_ms, 75);
+  EXPECT_EQ(req.tier, 1);
+  EXPECT_FALSE(req.keep_alive());  // "CLOSE" in any case
+  EXPECT_EQ(req.body, "abc");
+  // The dedicated slots keep their headers out of the generic map.
+  EXPECT_EQ(req.headers.count("x-gae-trace"), 0u);
+  EXPECT_EQ(req.headers.size(), 3u);  // content-type, connection, content-length
+
+  MemoryStream response_stream(
+      "HTTP/1.1 200  Fine  \r\nX-Extra :  one\r\ncontent-length:0\r\n\r\n");
+  auto resp = http::read_response(response_stream);
+  ASSERT_TRUE(resp.is_ok()) << resp.status();
+  EXPECT_EQ(resp.value().status_code, 200);
+  EXPECT_EQ(resp.value().reason, "Fine");
+  EXPECT_EQ(resp.value().header("x-extra"), "one");
+}
+
+TEST(HttpFraming, SpilledBytesAndOversizedHeadsAreRefused) {
+  // Bytes past the declared body (an unsupported pipelined request) arrive
+  // in the same read as the head: refused, whatever the read size.
+  const std::string pipelined =
+      "POST /rpc HTTP/1.1\r\ncontent-length: 2\r\n\r\nokPOST /rpc HTTP/1.1\r\n\r\n";
+  MemoryStream one_byte(pipelined);
+  auto exact = http::read_request(one_byte);  // reads stop at the body's end
+  ASSERT_TRUE(exact.is_ok()) << exact.status();
+  EXPECT_EQ(exact.value().body, "ok");
+
+  MemoryStream whole(pipelined, 4096);
+  auto spilled = http::read_request(whole);
+  ASSERT_FALSE(spilled.is_ok());
+  EXPECT_EQ(spilled.status().code(), StatusCode::kInvalidArgument);
+
+  MemoryStream whole_response("HTTP/1.1 200 OK\r\ncontent-length: 1\r\n\r\nxy", 4096);
+  auto spilled_response = http::read_response(whole_response);
+  ASSERT_FALSE(spilled_response.is_ok());
+  EXPECT_EQ(spilled_response.status().code(), StatusCode::kInvalidArgument);
+
+  // A head longer than max_header_bytes is refused, one byte at a time too.
+  const std::string big_head =
+      "POST /rpc HTTP/1.1\r\nx-pad: " + std::string(600, 'p') + "\r\n\r\n";
+  MemoryStream oversized(big_head);
+  auto refused = http::read_request(oversized, {/*max_header_bytes=*/512, 1024});
+  ASSERT_FALSE(refused.is_ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(oversized.reads(), 513);  // stopped one byte past the cap
+  MemoryStream fits(big_head);
+  EXPECT_TRUE(http::read_request(fits, {/*max_header_bytes=*/1024, 1024}).is_ok());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
 
 namespace gae::rpc {
@@ -82,6 +84,38 @@ TEST(Json, MalformedRejected) {
   EXPECT_FALSE(json::decode("tru").is_ok());
   EXPECT_FALSE(json::decode("1 2").is_ok());  // trailing garbage
   EXPECT_FALSE(json::decode("{'single':1}").is_ok());
+  // Numbers must follow the JSON grammar and parse in full: these used to
+  // decode as the prefix std::stod/stoll accepted ("1.2.3" -> 1.2).
+  const char* bad_numbers[] = {
+      "1.2.3", "1e5e5", "{\"a\":1.2.3}", "[1e5e5]", "1.", "1e+", "1e", "-", "+5",
+      "01",    "-01",   "00",           "1.e5",    ".5", "1.5e", "2-3", "1e5.0",
+      "[+1]",  "99999999999999999999",  "-9223372036854775809", "1e400",
+  };
+  for (const char* text : bad_numbers) {
+    auto v = json::decode(text);
+    EXPECT_FALSE(v.is_ok()) << text;
+    if (!v.is_ok()) EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  EXPECT_FALSE(jsonrpc::decode_call(R"({"method":"m","params":[01],"id":1})").is_ok());
+  EXPECT_FALSE(jsonrpc::decode_response(R"({"result":1.2.3,"id":1})").is_ok());
+}
+
+TEST(Json, NumbersAtTheEdgesOfTheGrammar) {
+  EXPECT_EQ(json::decode("0").value(), Value(0));
+  EXPECT_EQ(json::decode("-0").value(), Value(0));
+  EXPECT_EQ(json::decode("9223372036854775807").value(),
+            Value(std::int64_t{9'223'372'036'854'775'807}));
+  EXPECT_EQ(json::decode("-9223372036854775808").value().as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(json::decode("1E2").value(), Value(100.0));
+  EXPECT_EQ(json::decode("1e-2").value(), Value(0.01));
+  EXPECT_EQ(json::decode("0.5e+1").value(), Value(5.0));
+  EXPECT_TRUE(std::signbit(json::decode("-0.0").value().as_double()));
+  // A subnormal double, as the encoder writes it, decodes to itself.
+  const double tiny = std::numeric_limits<double>::denorm_min() * 12345;
+  auto back = json::decode(json::encode(Value(tiny)));
+  ASSERT_TRUE(back.is_ok());
+  EXPECT_EQ(back.value().as_double(), tiny);
 }
 
 TEST(Json, RoundTripDeep) {
@@ -92,6 +126,35 @@ TEST(Json, RoundTripDeep) {
   auto back = json::decode(json::encode(original));
   ASSERT_TRUE(back.is_ok());
   EXPECT_EQ(back.value(), original);
+}
+
+TEST(JsonRpc, EnvelopeBytesArePinned) {
+  // Doubles are written as printf("%.17g") plus ".0" when that reads as an
+  // integer; envelope members appear in key order.
+  const Array params{Value(0.1),  Value(1e300), Value(-0.0),
+                     Value(5.0),  Value(1e-7),  Value(std::int64_t{-42})};
+  EXPECT_EQ(jsonrpc::encode_call("estimator.runtime", params, 7),
+            R"({"id":7,"jsonrpc":"2.0","method":"estimator.runtime","params":)"
+            R"([0.10000000000000001,1.0000000000000001e+300,-0.0,5.0,)"
+            R"(9.9999999999999995e-08,-42]})");
+  Struct result;
+  result["seconds"] = Value(0.1);
+  result["big"] = Value(1e300);
+  result["neg0"] = Value(-0.0);
+  result["five"] = Value(5.0);
+  result["tiny"] = Value(1e-7);
+  result["esc"] = Value(std::string("q\"b\\s/\b\f\n\r\t\x01\x1f\x7f\xc3\xa9"));
+  EXPECT_EQ(jsonrpc::encode_response(Value(std::move(result)), -3),
+            R"({"id":-3,"jsonrpc":"2.0","result":{"big":1.0000000000000001e+300,)"
+            R"("esc":"q\"b\\s/\b\f\n\r\t\u0001\u001f)"
+            "\x7f\xc3\xa9"
+            R"(","five":5.0,"neg0":-0.0,"seconds":0.10000000000000001,)"
+            R"("tiny":9.9999999999999995e-08}})");
+  EXPECT_EQ(jsonrpc::encode_fault(103, "bad \"x\"\n", 9),
+            R"({"error":{"code":103,"message":"bad \"x\"\n"},"id":9,"jsonrpc":"2.0"})");
+  // NaN and infinities have no JSON spelling.
+  EXPECT_EQ(jsonrpc::encode_response(Value(std::nan("")), 1),
+            R"({"id":1,"jsonrpc":"2.0","result":null})");
 }
 
 TEST(JsonRpc, CallRoundTrip) {

@@ -293,5 +293,47 @@ TEST(RpcClientRetryTest, BreakerOpensAfterRepeatedConnectFailuresThenProbes) {
   EXPECT_EQ(client.breaker_state(0), CircuitBreaker::State::kOpen);
 }
 
+TEST(RpcClientRetryTest, RetryAfterAFailedDialIsChargedToTheDialledEndpoint) {
+  ManualClock clock;
+  rpc::ClientOptions options;
+  options.clock = &clock;
+  options.sleep_ms = [&clock](int ms) { clock.advance_by(SimTime{ms} * 1000); };
+  options.breaker.min_samples = 1;  // one refused dial opens a breaker
+  options.breaker.open_cooldown_ms = 60'000;
+
+  auto dispatcher = std::make_shared<rpc::Dispatcher>();
+  dispatcher->register_method("ping", [](const rpc::Array&, const rpc::CallContext&)
+                                          -> Result<rpc::Value> { return rpc::Value(true); });
+  rpc::RpcServer live(dispatcher, rpc::ServerOptions{0, 1});
+  auto live_port = live.start();
+  ASSERT_TRUE(live_port.is_ok());
+  const std::uint16_t dead_port = closed_port();
+  rpc::RpcClient client({{"127.0.0.1", dead_port}, {"127.0.0.1", live_port.value()}},
+                        rpc::Protocol::kXmlRpc, options);
+
+  // Endpoint 0 refuses (its breaker opens) and endpoint 1 answers.
+  ASSERT_TRUE(client.call("ping", {}).is_ok());
+  ASSERT_EQ(client.breaker_state(0), CircuitBreaker::State::kOpen);
+
+  // Now endpoint 1 refuses its dial too: the walk skips open endpoint 0,
+  // endpoint 1's dial fails, and the retry that follows is endpoint 1's.
+  live.stop();
+  client.disconnect();
+  rpc::CallOptions call;
+  call.retry.max_attempts = 2;
+  call.retry.initial_backoff_ms = 1;
+  call.retry.jitter_fraction = 0.0;
+  EXPECT_FALSE(client.call("ping", {}, call).is_ok());
+
+  const auto retries = [&](std::uint16_t port) {
+    return client.metrics()
+        .counter("rpc.client.127.0.0.1:" + std::to_string(port) + ".retries")
+        .value();
+  };
+  EXPECT_EQ(retries(live_port.value()), 1u);
+  EXPECT_EQ(retries(dead_port), 0u);
+  EXPECT_EQ(client.metrics().snapshot().counter_sum("rpc.client.", ".retries"), 1u);
+}
+
 }  // namespace
 }  // namespace gae
