@@ -73,24 +73,4 @@ Result<Response> read_response(Stream& stream, const ReadLimits& limits = {});
 
 Status write_response(Stream& stream, const Response& resp, bool keep_alive);
 
-// Raw-socket overloads for call sites that hold a bare net::TcpStream
-// (tests, the fault-injecting proxy): same framing through a borrowed
-// Stream adapter.
-inline Result<Request> read_request(net::TcpStream& stream, const ReadLimits& limits = {}) {
-  BorrowedTcpStream adapter(stream);
-  return read_request(static_cast<Stream&>(adapter), limits);
-}
-inline Status write_request(net::TcpStream& stream, const Request& req) {
-  BorrowedTcpStream adapter(stream);
-  return write_request(static_cast<Stream&>(adapter), req);
-}
-inline Result<Response> read_response(net::TcpStream& stream, const ReadLimits& limits = {}) {
-  BorrowedTcpStream adapter(stream);
-  return read_response(static_cast<Stream&>(adapter), limits);
-}
-inline Status write_response(net::TcpStream& stream, const Response& resp, bool keep_alive) {
-  BorrowedTcpStream adapter(stream);
-  return write_response(static_cast<Stream&>(adapter), resp, keep_alive);
-}
-
 }  // namespace gae::rpc::http

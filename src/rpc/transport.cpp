@@ -18,13 +18,13 @@ Status Stream::read_exact(void* buf, std::size_t len) {
   return Status::ok();
 }
 
-bool tcp_socket_healthy(const net::TcpStream& stream) {
-  if (!stream.valid()) return false;
-  // A non-blocking one-byte peek distinguishes the three states of a parked
-  // keep-alive connection: EAGAIN = quiet and open (healthy), 0 = the peer
-  // closed it while parked, >0 = unread bytes from a desynced exchange.
+bool TcpSocketStream::healthy() const {
+  if (!stream_.valid()) return false;
+  // The three states of a parked keep-alive connection: EAGAIN = quiet and
+  // open (healthy), 0 = the peer closed it while parked, >0 = unread bytes
+  // from a desynced exchange.
   char probe = 0;
-  const ssize_t n = ::recv(stream.fd(), &probe, 1, MSG_PEEK | MSG_DONTWAIT);
+  const ssize_t n = ::recv(stream_.fd(), &probe, 1, MSG_PEEK | MSG_DONTWAIT);
   if (n < 0) return errno == EAGAIN || errno == EWOULDBLOCK;
   return false;
 }

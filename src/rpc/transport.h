@@ -8,7 +8,8 @@
 // The seam is intentionally byte-stream shaped (connect/accept/read/write/
 // close), not message shaped: HTTP framing, keep-alive reuse and the pool's
 // health probe all behave identically over both transports, so a bug found
-// under simulation is a bug on the wire.
+// under simulation is a bug on the wire. FaultyTransport
+// (rpc/faulty_transport.h) decorates either one with scheduled faults.
 #pragma once
 
 #include <cstddef>
@@ -90,11 +91,6 @@ class Transport {
   virtual Result<std::unique_ptr<Listener>> listen(std::uint16_t port) = 0;
 };
 
-/// The pool's keep-alive health probe for a raw TCP socket: a non-blocking
-/// one-byte peek distinguishes quiet-and-open (healthy) from closed-while-
-/// parked and unread-bytes-pending (both evicted).
-bool tcp_socket_healthy(const net::TcpStream& stream);
-
 /// Stream over an owned TCP socket (what TcpTransport hands out).
 class TcpSocketStream final : public Stream {
  public:
@@ -113,42 +109,14 @@ class TcpSocketStream final : public Stream {
   }
   Status set_recv_timeout_ms(int ms) override { return stream_.set_recv_timeout_ms(ms); }
   Status set_no_delay(bool on) override { return stream_.set_no_delay(on); }
-  bool healthy() const override { return tcp_socket_healthy(stream_); }
+  /// A non-blocking one-byte peek distinguishes quiet-and-open (healthy)
+  /// from closed-while-parked and unread-bytes-pending (both evicted).
+  bool healthy() const override;
   void shutdown_both() override { stream_.shutdown_both(); }
   void close() override { stream_.close(); }
 
-  net::TcpStream& socket() { return stream_; }
-
  private:
   net::TcpStream stream_;
-};
-
-/// Stream over a *borrowed* TCP socket — keeps raw-socket call sites (tests,
-/// the fault-injecting proxy) usable with Stream-taking APIs without giving
-/// up ownership. The caller keeps the socket alive for the adapter's life.
-class BorrowedTcpStream final : public Stream {
- public:
-  explicit BorrowedTcpStream(net::TcpStream& stream) : stream_(&stream) {}
-
-  bool valid() const override { return stream_->valid(); }
-  Status write_all(const void* data, std::size_t len) override {
-    return stream_->write_all(data, len);
-  }
-  using Stream::write_all;
-  Result<std::size_t> read_some(void* buf, std::size_t len) override {
-    return stream_->read_some(buf, len);
-  }
-  Status read_exact(void* buf, std::size_t len) override {
-    return stream_->read_exact(buf, len);
-  }
-  Status set_recv_timeout_ms(int ms) override { return stream_->set_recv_timeout_ms(ms); }
-  Status set_no_delay(bool on) override { return stream_->set_no_delay(on); }
-  bool healthy() const override { return tcp_socket_healthy(*stream_); }
-  void shutdown_both() override { stream_->shutdown_both(); }
-  void close() override { stream_->close(); }
-
- private:
-  net::TcpStream* stream_;
 };
 
 class TcpListener final : public Listener {

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <string_view>
@@ -337,20 +338,25 @@ bool decode_value(XmlReader& r, const Tag& value, Value& out);
 
 /// std::stoll/std::stod semantics over text ending at '\0' or '<': leading
 /// whitespace and trailing junk are accepted, no digits or overflow is not.
+/// strtod also flags ERANGE on a subnormal result, which is still the nearest
+/// double (and the encoder writes such values); only overflow and underflow
+/// to zero are out of range.
 template <typename T>
 bool parse_number(std::string_view s, T& out) {
   if (s.empty()) return false;
   char* end = nullptr;
   const int saved = errno;
   errno = 0;
+  bool in_range = true;
   if constexpr (std::is_floating_point_v<T>) {
     out = std::strtod(s.data(), &end);
+    in_range = errno != ERANGE || (out != 0 && std::isfinite(out));
   } else {
     out = std::strtoll(s.data(), &end, 10);
+    in_range = errno != ERANGE;
   }
-  const bool ok = end != s.data() && errno != ERANGE;
   errno = saved;
-  return ok;
+  return end != s.data() && in_range;
 }
 
 /// Decodes the open typed element `t` (the child of a <value>).

@@ -1,12 +1,13 @@
 // Deterministic storage-fault injection for chaos tests and benches: the
-// disk-side twin of net::FaultInjector.
+// disk-side twin of rpc::FaultyTransport (rpc/faulty_transport.h).
 //
 // FaultyWalStorage decorates any WalStorage and misbehaves on schedule:
 // tear an append short (crash/ENOSPC mid-frame), fail the durability flush
 // (fsyncgate), refuse a read, rot a byte at rest, or fail a replace. Which
 // fault hits which operation is decided by a scripted plan first and a
 // seeded RNG after, so a failing chaos run replays bit-for-bit from its
-// seed — the same schedule discipline as the network injector.
+// seed — the same schedule discipline as FaultyTransport, which decorates
+// the rpc::Transport seam the same way.
 //
 // Latch semantics mirror FileWalStorage: any fault that leaves the media
 // tail torn or unknowable (torn append, ENOSPC, failed fsync) latches the

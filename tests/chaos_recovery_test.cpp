@@ -1,17 +1,25 @@
-// Chaos tests: deterministic fault injection against the live RPC stack, and
-// steering Backup & Recovery (journal included) under simulated failures.
+// Chaos tests: deterministic transport faults against the RPC stack, on live
+// TCP and on the simulated network, and steering Backup & Recovery (journal
+// included) under simulated failures.
 //
 // Everything here replays bit-for-bit: transport faults follow a scripted
 // plan or a seeded RNG, and the simulation side runs in virtual time.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "common/clock.h"
 #include "common/wal.h"
 #include "exec/execution_service.h"
-#include "net/fault_injector.h"
+#include "dst/sim_host.h"
+#include "dst/simnet.h"
 #include "rpc/client.h"
+#include "rpc/faulty_transport.h"
 #include "rpc/server.h"
 #include "sim/load.h"
 #include "sim/network.h"
@@ -90,31 +98,25 @@ TEST(RecoveryJournal, UnknownVersionRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Live transport chaos: RpcClient vs FaultInjector
+// Transport chaos: RpcClient through a FaultyTransport, on live TCP and on
+// the simulated network
 // ---------------------------------------------------------------------------
 
-struct CountingServer {
-  std::shared_ptr<rpc::Dispatcher> dispatcher = std::make_shared<rpc::Dispatcher>();
-  std::atomic<int> increments{0};
-  std::unique_ptr<rpc::RpcServer> server;
-  std::uint16_t port = 0;
-
-  CountingServer() {
-    dispatcher->register_method(
-        "counter.incr",
-        [this](const rpc::Array&, const rpc::CallContext&) -> Result<rpc::Value> {
-          return rpc::Value(static_cast<std::int64_t>(++increments));
-        });
-    dispatcher->register_method(
-        "echo", [](const rpc::Array& params, const rpc::CallContext&) -> Result<rpc::Value> {
-          return params.empty() ? rpc::Value() : params.front();
-        });
-    server = std::make_unique<rpc::RpcServer>(dispatcher, rpc::ServerOptions{0, 4});
-    auto p = server->start();
-    EXPECT_TRUE(p.is_ok());
-    port = p.value_or(0);
-  }
-};
+/// The service under chaos: counter.incr counts the calls that executed,
+/// echo returns its argument.
+std::shared_ptr<rpc::Dispatcher> counting_dispatcher(std::atomic<int>& increments) {
+  auto dispatcher = std::make_shared<rpc::Dispatcher>();
+  dispatcher->register_method(
+      "counter.incr",
+      [&increments](const rpc::Array&, const rpc::CallContext&) -> Result<rpc::Value> {
+        return rpc::Value(static_cast<std::int64_t>(++increments));
+      });
+  dispatcher->register_method(
+      "echo", [](const rpc::Array& params, const rpc::CallContext&) -> Result<rpc::Value> {
+        return params.empty() ? rpc::Value() : params.front();
+      });
+  return dispatcher;
+}
 
 /// Client options tuned for tests: fast deterministic backoff, lenient
 /// breaker (individual tests override what they probe).
@@ -128,42 +130,172 @@ rpc::ClientOptions chaos_client_options() {
   return options;
 }
 
-TEST(TransportChaos, RetriesThroughScriptedFaultsAndSucceeds) {
-  CountingServer backend;
-  net::FaultPlan plan;
-  plan.script = {{net::FaultKind::kRefuseConnect, 0, 0},
-                 {net::FaultKind::kGarbage, 0, 0},
-                 {net::FaultKind::kNone, 0, 0}};
-  net::FaultInjector proxy("127.0.0.1", backend.port, plan);
-  auto proxy_port = proxy.start();
-  ASSERT_TRUE(proxy_port.is_ok());
+/// Each env hosts the service and says how its own network makes an
+/// endpoint unreachable or slow.
+class TcpChaosEnv {
+ public:
+  explicit TcpChaosEnv(std::shared_ptr<rpc::Dispatcher> dispatcher)
+      : server_(std::move(dispatcher), rpc::ServerOptions{0, 4}) {
+    auto port = server_.start();
+    EXPECT_TRUE(port.is_ok()) << port.status();
+    port_ = port.value_or(0);
+  }
 
-  rpc::RpcClient client({{"127.0.0.1", proxy_port.value()}}, rpc::Protocol::kXmlRpc,
-                        chaos_client_options());
+  rpc::Transport& transport() { return rpc::tcp_transport(); }
+  rpc::Endpoint server() const { return {"127.0.0.1", port_}; }
+
+  /// A port nobody listens on: a bound-then-closed listener's.
+  rpc::Endpoint unreachable() {
+    auto dead = transport().listen(0);
+    EXPECT_TRUE(dead.is_ok()) << dead.status();
+    return {"127.0.0.1", dead.is_ok() ? dead.value()->port() : std::uint16_t{0}};
+  }
+
+  /// A peer that never answers: a listener nobody accepts from (the kernel
+  /// completes the handshake and buffers the request).
+  rpc::Endpoint stalled() {
+    auto listener = transport().listen(0);
+    EXPECT_TRUE(listener.is_ok()) << listener.status();
+    stalled_ = std::move(listener).value();
+    return {"127.0.0.1", stalled_->port()};
+  }
+
+  /// Live TCP keeps the wall clock and real backoff sleeps.
+  void virtualize(rpc::ClientOptions&) {}
+
+ private:
+  rpc::RpcServer server_;
+  std::uint16_t port_ = 0;
+  std::unique_ptr<rpc::Listener> stalled_;
+};
+
+class SimChaosEnv {
+ public:
+  explicit SimChaosEnv(std::shared_ptr<rpc::Dispatcher> dispatcher)
+      : net_(clock_, /*seed=*/19),
+        dispatcher_(std::move(dispatcher)),
+        host_(net_, "server", dispatcher_, 0) {
+    EXPECT_TRUE(host_.start().is_ok());
+  }
+
+  rpc::Transport& transport() { return net_.transport_for("client"); }
+  rpc::Endpoint server() const { return {"server", host_.port()}; }
+
+  /// A replica of the service on a host the client is partitioned from.
+  rpc::Endpoint unreachable() {
+    replica_ = std::make_unique<dst::SimHost>(net_, "server-a", dispatcher_, 0);
+    EXPECT_TRUE(replica_->start().is_ok());
+    net_.partition("client", "server-a");
+    return {"server-a", replica_->port()};
+  }
+
+  /// The service behind a link whose latency (1 s of virtual time) outlasts
+  /// every deadline the tests set.
+  rpc::Endpoint stalled() {
+    net_.link().base_latency_us = 1'000'000;
+    return server();
+  }
+
+  /// The client reads the network's clock, and its backoff sleeps run the
+  /// network forward: no wall-clock sleep anywhere.
+  void virtualize(rpc::ClientOptions& options) {
+    options.clock = &clock_;
+    options.sleep_ms = [this](int ms) { net_.run_for(static_cast<SimDuration>(ms) * 1000); };
+  }
+
+ private:
+  ManualClock clock_;
+  dst::SimNetwork net_;
+  std::shared_ptr<rpc::Dispatcher> dispatcher_;
+  dst::SimHost host_;
+  std::unique_ptr<dst::SimHost> replica_;
+};
+
+/// What one run of seeded chaos saw.
+struct ChaosRun {
+  std::map<std::string, std::uint64_t> faults;
+  std::uint64_t retries = 0;
+  int served = 0;
+};
+
+template <typename Env>
+class TransportChaos : public ::testing::Test {
+ protected:
+  TransportChaos() : env_(counting_dispatcher(increments_)) {}
+
+  rpc::ClientOptions options() {
+    rpc::ClientOptions options = chaos_client_options();
+    env_.virtualize(options);
+    return options;
+  }
+
+  /// (Re)builds the client under test. It dials `endpoints` (default: the
+  /// service) through a FaultyTransport that runs `plan` over the env's
+  /// transport.
+  rpc::RpcClient& make_client(rpc::FaultPlan plan, rpc::ClientOptions options,
+                              std::vector<rpc::Endpoint> endpoints = {}) {
+    client_.reset();  // before the transport its pool dials through
+    faulty_ = std::make_unique<rpc::FaultyTransport>(&env_.transport(), std::move(plan));
+    options.transport = faulty_.get();
+    if (endpoints.empty()) endpoints = {env_.server()};
+    client_ = std::make_unique<rpc::RpcClient>(std::move(endpoints), rpc::Protocol::kXmlRpc,
+                                               std::move(options));
+    return *client_;
+  }
+  rpc::RpcClient& make_client(rpc::FaultPlan plan) {
+    return make_client(std::move(plan), options());
+  }
+
+  /// 50 idempotent calls through a 30 % fault rate drawn from `seed`.
+  ChaosRun seeded_run(std::uint64_t seed) {
+    rpc::FaultPlan plan;
+    plan.fault_rate = 0.3;
+    plan.seed = seed;
+    rpc::ClientOptions fresh = options();
+    fresh.pool.max_idle = 0;  // every attempt dials: one draw each
+    fresh.default_call.retry.initial_backoff_ms = 0;  // retry at once
+    auto& client = make_client(plan, fresh);
+    ChaosRun run;
+    for (int i = 0; i < 50; ++i) {
+      if (client.call("echo", {rpc::Value(std::int64_t{i})}).is_ok()) ++run.served;
+    }
+    run.faults = faulty_->fault_counts();
+    run.retries = client.metrics().snapshot().counter_sum("rpc.client.", ".retries");
+    return run;
+  }
+
+  std::atomic<int> increments_{0};
+  Env env_;
+  std::unique_ptr<rpc::FaultyTransport> faulty_;
+  std::unique_ptr<rpc::RpcClient> client_;
+};
+
+using ChaosEnvs = ::testing::Types<TcpChaosEnv, SimChaosEnv>;
+TYPED_TEST_SUITE(TransportChaos, ChaosEnvs);
+
+TYPED_TEST(TransportChaos, RetriesThroughScriptedFaultsAndSucceeds) {
+  rpc::FaultPlan plan;
+  plan.script = {{rpc::FaultKind::kRefuseConnect},
+                 {rpc::FaultKind::kGarbage},
+                 {rpc::FaultKind::kNone}};
+  auto& client = this->make_client(plan);
   auto r = client.call("echo", {rpc::Value(std::int64_t{41})});
   ASSERT_TRUE(r.is_ok()) << r.status();
   EXPECT_EQ(r.value().as_int(), 41);
 
   // Two faulted connections, then the clean one.
   EXPECT_EQ(client.metrics().snapshot().counter_sum("rpc.client.", ".retries"), 2u);
-  EXPECT_EQ(proxy.faults_injected(), 2u);
-  auto counts = proxy.fault_counts();
+  EXPECT_EQ(this->faulty_->faults_injected(), 2u);
+  auto counts = this->faulty_->fault_counts();
   EXPECT_EQ(counts["refuse-connect"], 1u);
   EXPECT_EQ(counts["garbage"], 1u);
-  proxy.stop();
 }
 
-TEST(TransportChaos, DroppedResponseIsNotRetriedForNonIdempotentCalls) {
-  CountingServer backend;
-  net::FaultPlan plan;
-  plan.script = {{net::FaultKind::kDropResponse, 0, 0}};
-  net::FaultInjector proxy("127.0.0.1", backend.port, plan);
-  auto proxy_port = proxy.start();
-  ASSERT_TRUE(proxy_port.is_ok());
-
-  rpc::RpcClient client({{"127.0.0.1", proxy_port.value()}}, rpc::Protocol::kXmlRpc,
-                        chaos_client_options());
-  rpc::CallOptions call = chaos_client_options().default_call;
+TYPED_TEST(TransportChaos, DroppedResponseIsNotRetriedForNonIdempotentCalls) {
+  rpc::FaultPlan plan;
+  plan.script = {{rpc::FaultKind::kDropResponse}};
+  auto& client = this->make_client(plan);
+  rpc::CallOptions call = this->options().default_call;
   call.idempotent = false;
 
   auto r = client.call("counter.incr", {}, call);
@@ -173,71 +305,72 @@ TEST(TransportChaos, DroppedResponseIsNotRetriedForNonIdempotentCalls) {
 
   // The server executed the call exactly once: the client refused to
   // double-send a request that may already have been applied.
-  EXPECT_EQ(backend.increments.load(), 1);
+  EXPECT_EQ(this->increments_.load(), 1);
   EXPECT_EQ(client.metrics().counter("rpc.client.attempts").value(), 1u);
-  proxy.stop();
 }
 
-TEST(TransportChaos, DroppedResponseIsRetriedWhenIdempotent) {
-  CountingServer backend;
-  net::FaultPlan plan;
-  plan.script = {{net::FaultKind::kDropResponse, 0, 0}};
-  net::FaultInjector proxy("127.0.0.1", backend.port, plan);
-  auto proxy_port = proxy.start();
-  ASSERT_TRUE(proxy_port.is_ok());
-
-  rpc::RpcClient client({{"127.0.0.1", proxy_port.value()}}, rpc::Protocol::kXmlRpc,
-                        chaos_client_options());
+TYPED_TEST(TransportChaos, DroppedResponseIsRetriedWhenIdempotent) {
+  rpc::FaultPlan plan;
+  plan.script = {{rpc::FaultKind::kDropResponse}};
+  auto& client = this->make_client(plan);
   auto r = client.call("counter.incr", {});  // idempotent by default
   ASSERT_TRUE(r.is_ok()) << r.status();
   // Re-sent after the swallowed response — which is why the default is only
   // safe for idempotent methods (the server ran it twice).
-  EXPECT_EQ(backend.increments.load(), 2);
-  proxy.stop();
+  EXPECT_EQ(this->increments_.load(), 2);
 }
 
-TEST(TransportChaos, DeadlineFiresOnDelayedTransport) {
-  CountingServer backend;
-  net::FaultPlan plan;
-  plan.script = {{net::FaultKind::kDelay, 0, 2'000}};
-  net::FaultInjector proxy("127.0.0.1", backend.port, plan);
-  auto proxy_port = proxy.start();
-  ASSERT_TRUE(proxy_port.is_ok());
+TYPED_TEST(TransportChaos, RequestCutMidWriteIsNeverExecuted) {
+  rpc::FaultPlan plan;
+  plan.script = {{rpc::FaultKind::kDropAfterBytes, 20}};
+  auto& client = this->make_client(plan);
+  rpc::CallOptions call = this->options().default_call;
+  call.idempotent = false;
 
-  rpc::ClientOptions options = chaos_client_options();
+  auto r = client.call("counter.incr", {}, call);
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(client.metrics().counter("rpc.client.attempts").value(), 1u);
+  EXPECT_EQ(this->faulty_->fault_counts()["drop-after-bytes"], 1u);
+  // 20 bytes of a request are no request: nothing ran.
+  EXPECT_EQ(this->increments_.load(), 0);
+}
+
+TYPED_TEST(TransportChaos, IdempotentCallRetriesThroughACutRequest) {
+  rpc::FaultPlan plan;
+  plan.script = {{rpc::FaultKind::kDropAfterBytes, 20}};
+  auto& client = this->make_client(plan);
+  auto r = client.call("counter.incr", {});
+  ASSERT_TRUE(r.is_ok()) << r.status();
+  EXPECT_EQ(r.value().as_int(), 1);
+  EXPECT_EQ(this->increments_.load(), 1);  // the cut request never ran
+  EXPECT_EQ(client.metrics().snapshot().counter_sum("rpc.client.", ".retries"), 1u);
+}
+
+TYPED_TEST(TransportChaos, DeadlineFiresOnDelayedTransport) {
+  rpc::ClientOptions options = this->options();
   options.default_call.retry = RetryPolicy::none();
-  rpc::RpcClient client({{"127.0.0.1", proxy_port.value()}}, rpc::Protocol::kXmlRpc,
-                        options);
+  auto& client = this->make_client({}, options, {this->env_.stalled()});
   rpc::CallOptions call;
-  call.deadline_ms = 150;
+  call.deadline_ms = 50;
   call.retry = RetryPolicy::none();
 
   auto r = client.call("echo", {rpc::Value(std::int64_t{1})}, call);
   ASSERT_FALSE(r.is_ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_GE(client.metrics().counter("rpc.client.deadline_exceeded").value(), 1u);
-  proxy.stop();
 }
 
-TEST(TransportChaos, FailoverReachesSecondEndpointWhenPrimaryMisbehaves) {
-  CountingServer backend;
-  net::FaultPlan plan;
-  plan.fault_rate = 1.0;  // every proxied connection misbehaves
-  plan.seed = 7;
-  plan.random_kinds = {net::FaultKind::kRefuseConnect};
-  net::FaultInjector proxy("127.0.0.1", backend.port, plan);
-  auto proxy_port = proxy.start();
-  ASSERT_TRUE(proxy_port.is_ok());
-
-  rpc::ClientOptions options = chaos_client_options();
-  options.breaker.min_samples = 2;
+TYPED_TEST(TransportChaos, FailoverReachesSecondEndpointWhenPrimaryIsUnreachable) {
+  rpc::ClientOptions options = this->options();
+  options.breaker.min_samples = 1;  // the refused dial is the primary's one sample
   options.breaker.failure_rate_threshold = 0.5;
   options.breaker.open_cooldown_ms = 60'000;
 
-  // Primary endpoint goes through the always-faulty proxy; the fallback hits
-  // the server directly.
-  rpc::RpcClient client({{"127.0.0.1", proxy_port.value()}, {"127.0.0.1", backend.port}},
-                        rpc::Protocol::kXmlRpc, options);
+  // The primary cannot be reached through the env's network; the fallback is
+  // the service.
+  auto& client =
+      this->make_client({}, options, {this->env_.unreachable(), this->env_.server()});
   auto r = client.call("echo", {rpc::Value(std::int64_t{99})});
   ASSERT_TRUE(r.is_ok()) << r.status();
   EXPECT_EQ(r.value().as_int(), 99);
@@ -247,7 +380,62 @@ TEST(TransportChaos, FailoverReachesSecondEndpointWhenPrimaryMisbehaves) {
 
   // Subsequent calls go straight to the healthy endpoint.
   ASSERT_TRUE(client.call("echo", {rpc::Value(std::int64_t{5})}).is_ok());
-  proxy.stop();
+}
+
+TYPED_TEST(TransportChaos, SeededFaultsReplayFromTheirSeed) {
+  const ChaosRun first = this->seeded_run(5);
+  const ChaosRun again = this->seeded_run(5);
+  EXPECT_GT(first.retries, 0u);
+  EXPECT_EQ(first.faults, again.faults);
+  EXPECT_EQ(first.retries, again.retries);
+  EXPECT_EQ(first.served, again.served);
+
+  const ChaosRun other = this->seeded_run(6);
+  EXPECT_NE(other.faults, first.faults);
+}
+
+// Only live TCP has client threads: several clients dial through one
+// FaultyTransport at once.
+TEST(TransportChaosTcp, ConcurrentClientsShareOneSchedule) {
+  std::atomic<int> increments{0};
+  TcpChaosEnv env(counting_dispatcher(increments));
+  rpc::FaultPlan plan;
+  plan.script = {{rpc::FaultKind::kRefuseConnect},
+                 {rpc::FaultKind::kGarbage},
+                 {rpc::FaultKind::kDropResponse},
+                 {rpc::FaultKind::kDropAfterBytes, 20}};
+  rpc::FaultyTransport faulty(&env.transport(), plan);
+  rpc::ClientOptions options = chaos_client_options();
+  options.transport = &faulty;
+
+  constexpr int kClients = 4;
+  constexpr int kCalls = 10;
+  std::vector<std::unique_ptr<rpc::RpcClient>> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.push_back(std::make_unique<rpc::RpcClient>(std::vector<rpc::Endpoint>{env.server()},
+                                                       rpc::Protocol::kXmlRpc, options));
+  }
+  std::atomic<int> served{0};
+  std::vector<std::thread> threads;
+  for (auto& client : clients) {
+    threads.emplace_back([&served, c = client.get()] {
+      for (int i = 0; i < kCalls; ++i) {
+        if (c->call("echo", {rpc::Value(std::int64_t{i})}).is_ok()) ++served;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  // The first four connects take the four faults, whichever threads make
+  // them, and no attempt succeeds on a faulted connection: every scripted
+  // fault lands and costs its call exactly one retry.
+  EXPECT_EQ(served.load(), kClients * kCalls);
+  EXPECT_EQ(faulty.faults_injected(), plan.script.size());
+  std::uint64_t retries = 0;
+  for (auto& client : clients) {
+    retries += client->metrics().snapshot().counter_sum("rpc.client.", ".retries");
+  }
+  EXPECT_EQ(retries, plan.script.size());
 }
 
 // ---------------------------------------------------------------------------

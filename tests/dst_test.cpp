@@ -15,6 +15,7 @@
 #include "dst/cluster.h"
 #include "dst/explore.h"
 #include "dst/simnet.h"
+#include "rpc/faulty_transport.h"
 #include "rpc/transport.h"
 
 namespace gae {
@@ -28,9 +29,10 @@ using dst::SimNetwork;
 using dst::SimStream;
 
 // ---------------------------------------------------------------------------
-// Transport conformance: one set of assertions, two transports. Each
-// environment provides a transport, an echo server (echoes every byte until
-// the peer hangs up), and a port nobody listens on.
+// Transport conformance: one set of assertions, two transports, each bare
+// and behind a FaultyTransport with an empty plan. Each environment provides
+// a transport, an echo server (echoes every byte until the peer hangs up),
+// and a port nobody listens on.
 
 class TcpTransportEnv {
  public:
@@ -106,13 +108,26 @@ class SimTransportEnv {
   std::uint16_t echo_port_ = 0;
 };
 
+/// `Env` dialling through a FaultyTransport with an empty plan: the
+/// decorator must not be visible.
+template <typename Env>
+class EmptyFaultPlan : public Env {
+ public:
+  rpc::Transport& transport() { return faulty_; }
+
+ private:
+  rpc::FaultyTransport faulty_{&Env::transport()};
+};
+
 template <typename Env>
 class TransportConformance : public ::testing::Test {
  protected:
   Env env_;
 };
 
-using TransportEnvs = ::testing::Types<TcpTransportEnv, SimTransportEnv>;
+using TransportEnvs = ::testing::Types<TcpTransportEnv, SimTransportEnv,
+                                       EmptyFaultPlan<TcpTransportEnv>,
+                                       EmptyFaultPlan<SimTransportEnv>>;
 TYPED_TEST_SUITE(TransportConformance, TransportEnvs);
 
 TYPED_TEST(TransportConformance, ConnectToDeadPortFails) {

@@ -244,22 +244,31 @@ TEST(ServerHardening, ConfiguredBodyCapRejectsOversizedRequests) {
   EXPECT_TRUE(client.call("echo", {Value(1)}).is_ok());
 }
 
+/// Both ends of one loopback TCP connection, as the TCP transport hands
+/// them out.
+void connect_pair(std::unique_ptr<Stream>& client, std::unique_ptr<Stream>& served) {
+  auto listener = tcp_transport().listen(0);
+  ASSERT_TRUE(listener.is_ok()) << listener.status();
+  auto dialled = tcp_transport().connect("127.0.0.1", listener.value()->port());
+  ASSERT_TRUE(dialled.is_ok()) << dialled.status();
+  auto accepted = listener.value()->accept();
+  ASSERT_TRUE(accepted.is_ok()) << accepted.status();
+  client = std::move(dialled).value();
+  served = std::move(accepted).value();
+}
+
 TEST(HttpFraming, RequestRoundTripOverSocket) {
-  auto listener = net::TcpListener::bind(0);
-  ASSERT_TRUE(listener.is_ok());
-  auto client = net::TcpStream::connect("127.0.0.1", listener.value().port());
-  ASSERT_TRUE(client.is_ok());
-  auto served = listener.value().accept();
-  ASSERT_TRUE(served.is_ok());
+  std::unique_ptr<Stream> client, served;
+  ASSERT_NO_FATAL_FAILURE(connect_pair(client, served));
 
   http::Request req;
   req.method = "POST";
   req.path = "/rpc";
   req.headers["x-clarens-session"] = "tok";
   req.body = "payload bytes";
-  ASSERT_TRUE(http::write_request(client.value(), req).is_ok());
+  ASSERT_TRUE(http::write_request(*client, req).is_ok());
 
-  auto got = http::read_request(served.value());
+  auto got = http::read_request(*served);
   ASSERT_TRUE(got.is_ok()) << got.status();
   EXPECT_EQ(got.value().method, "POST");
   EXPECT_EQ(got.value().path, "/rpc");
@@ -274,21 +283,17 @@ TEST(HttpFraming, CallerSuppliedContentLengthIsOverwritten) {
   // even when it disagreed with the body, desyncing the persistent
   // connection's framing. The serializer must always emit the body's true
   // size.
-  auto listener = net::TcpListener::bind(0);
-  ASSERT_TRUE(listener.is_ok());
-  auto client = net::TcpStream::connect("127.0.0.1", listener.value().port());
-  ASSERT_TRUE(client.is_ok());
-  auto served = listener.value().accept();
-  ASSERT_TRUE(served.is_ok());
+  std::unique_ptr<Stream> client, served;
+  ASSERT_NO_FATAL_FAILURE(connect_pair(client, served));
 
   http::Request req;
   req.method = "POST";
   req.path = "/rpc";
   req.headers["content-length"] = "9999";  // lies about the body size
   req.body = "short";
-  ASSERT_TRUE(http::write_request(client.value(), req).is_ok());
+  ASSERT_TRUE(http::write_request(*client, req).is_ok());
 
-  auto got = http::read_request(served.value());
+  auto got = http::read_request(*served);
   ASSERT_TRUE(got.is_ok()) << got.status();
   EXPECT_EQ(got.value().header("content-length"), "5");
   EXPECT_EQ(got.value().body, "short");
@@ -300,27 +305,23 @@ TEST(HttpFraming, CallerSuppliedContentLengthIsOverwritten) {
   req2.path = "/rpc";
   req2.headers["content-length"] = "1";
   req2.body = "second payload";
-  ASSERT_TRUE(http::write_request(client.value(), req2).is_ok());
-  auto got2 = http::read_request(served.value());
+  ASSERT_TRUE(http::write_request(*client, req2).is_ok());
+  auto got2 = http::read_request(*served);
   ASSERT_TRUE(got2.is_ok()) << got2.status();
   EXPECT_EQ(got2.value().body, "second payload");
 }
 
 TEST(HttpFraming, ResponseRoundTripOverSocket) {
-  auto listener = net::TcpListener::bind(0);
-  ASSERT_TRUE(listener.is_ok());
-  auto client = net::TcpStream::connect("127.0.0.1", listener.value().port());
-  ASSERT_TRUE(client.is_ok());
-  auto served = listener.value().accept();
-  ASSERT_TRUE(served.is_ok());
+  std::unique_ptr<Stream> client, served;
+  ASSERT_NO_FATAL_FAILURE(connect_pair(client, served));
 
   http::Response resp;
   resp.status_code = 404;
   resp.reason = "Not Found";
   resp.body = "nope";
-  ASSERT_TRUE(http::write_response(served.value(), resp, /*keep_alive=*/false).is_ok());
+  ASSERT_TRUE(http::write_response(*served, resp, /*keep_alive=*/false).is_ok());
 
-  auto got = http::read_response(client.value());
+  auto got = http::read_response(*client);
   ASSERT_TRUE(got.is_ok()) << got.status();
   EXPECT_EQ(got.value().status_code, 404);
   EXPECT_EQ(got.value().reason, "Not Found");
@@ -329,34 +330,26 @@ TEST(HttpFraming, ResponseRoundTripOverSocket) {
 }
 
 TEST(HttpFraming, EmptyBodyRequest) {
-  auto listener = net::TcpListener::bind(0);
-  ASSERT_TRUE(listener.is_ok());
-  auto client = net::TcpStream::connect("127.0.0.1", listener.value().port());
-  ASSERT_TRUE(client.is_ok());
-  auto served = listener.value().accept();
-  ASSERT_TRUE(served.is_ok());
+  std::unique_ptr<Stream> client, served;
+  ASSERT_NO_FATAL_FAILURE(connect_pair(client, served));
 
   http::Request req;
   req.method = "GET";
   req.path = "/status";
-  ASSERT_TRUE(http::write_request(client.value(), req).is_ok());
-  auto got = http::read_request(served.value());
+  ASSERT_TRUE(http::write_request(*client, req).is_ok());
+  auto got = http::read_request(*served);
   ASSERT_TRUE(got.is_ok());
   EXPECT_TRUE(got.value().body.empty());
 }
 
 TEST(HttpFraming, ConnectionCloseHeaderRespected) {
-  auto listener = net::TcpListener::bind(0);
-  ASSERT_TRUE(listener.is_ok());
-  auto client = net::TcpStream::connect("127.0.0.1", listener.value().port());
-  ASSERT_TRUE(client.is_ok());
-  auto served = listener.value().accept();
-  ASSERT_TRUE(served.is_ok());
+  std::unique_ptr<Stream> client, served;
+  ASSERT_NO_FATAL_FAILURE(connect_pair(client, served));
 
   http::Request req;
   req.headers["connection"] = "close";
-  ASSERT_TRUE(http::write_request(client.value(), req).is_ok());
-  auto got = http::read_request(served.value());
+  ASSERT_TRUE(http::write_request(*client, req).is_ok());
+  auto got = http::read_request(*served);
   ASSERT_TRUE(got.is_ok());
   EXPECT_FALSE(got.value().keep_alive());
 }

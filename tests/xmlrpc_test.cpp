@@ -187,7 +187,11 @@ INSTANTIATE_TEST_SUITE_P(
         LabelledValue{"empty_struct", Value(Struct{})},
         LabelledValue{"nested_array", Value(Array{Value(Array{Value(Array{Value(1)})})})},
         LabelledValue{"nested_struct",
-                      Value(Struct{{"k", Value(Struct{{"k2", Value("v")}})}})}));
+                      Value(Struct{{"k", Value(Struct{{"k2", Value("v")}})}})},
+        // Subnormals: strtod flags them ERANGE, yet they are in range.
+        LabelledValue{"denorm_min", Value(std::numeric_limits<double>::denorm_min())},
+        LabelledValue{"subnormal",
+                      Value(std::numeric_limits<double>::denorm_min() * 12345)}));
 
 TEST(XmlRpcDecode, WrongTypedFaultMembersAreInvalidArgument) {
   // decode_response used to throw on these (Value's checked accessors), and
@@ -372,7 +376,8 @@ TEST(XmlRpcDecode, AcceptRejectTableIsPinned) {
       {"double_forms", kCall, param("<value><double> -1.5e3x</double></value>"), "m [-1500]"},
       {"double_inf", kCall, param("<value><double>inf</double></value>"), "m [inf]"},
       {"double_overflow", kCall, param("<value><double>1e400</double></value>"), kRejected},
-      {"double_denormal", kCall, param("<value><double>4.9406564584124654e-324</double></value>"), kRejected},
+      {"double_denormal", kCall, param("<value><double>4.9406564584124654e-324</double></value>"), "m [4.94066e-324]"},
+      {"double_underflow", kCall, param("<value><double>1e-400</double></value>"), kRejected},
       {"double_hex", kCall, param("<value><double>0x1p3</double></value>"), "m [8]"},
       {"unknown_type", kCall, param("<value><float>1</float></value>"), kRejected},
       {"entities", kCall, param("<value>&lt;&gt;&amp;&quot;&apos;&#65;&#x42;&#x;&#;&bogus;& loose</value>"), "m [\"<>&\\\"'AB&bogus;& loose\"]"},
