@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "bench_json.h"
-#include "rpc/batch.h"
 #include "rpc/client.h"
 #include "rpc/server.h"
 

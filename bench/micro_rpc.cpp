@@ -7,12 +7,11 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "bench_json.h"
-#include "common/rng.h"
 #include "rpc/client.h"
+#include "rpc/faulty_transport.h"
 #include "rpc/http.h"
 #include "rpc/jsonrpc.h"
 #include "rpc/server.h"
@@ -209,19 +208,18 @@ void BM_HttpFraming(benchmark::State& state) {
   http::Request req;
   req.method = "POST";
   req.path = "/rpc";
-  req.headers["connection"] = "keep-alive";
-  req.headers["content-type"] = "application/json";
+  req.content_type = "application/json";
   req.deadline_ms = 400;
   req.tier = 1;
   req.body = std::string(243, 'q');
   http::Response resp;
-  resp.headers["content-type"] = "application/json";
+  resp.content_type = "application/json";
   resp.body = std::string(158, 'r');
   LoopbackStream stream;
   for (auto _ : state) {
     if (!http::write_request(stream, req).is_ok()) state.SkipWithError("write_request failed");
     auto got_req = http::read_request(stream);
-    if (!http::write_response(stream, resp, got_req.value().keep_alive()).is_ok()) {
+    if (!http::write_response(stream, resp, got_req.value().keep_alive).is_ok()) {
       state.SkipWithError("write_response failed");
     }
     auto got_resp = http::read_response(stream);
@@ -258,12 +256,14 @@ void BM_RoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_RoundTrip)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
-/// Round trips over a transport that fails a seeded fraction of calls with
-/// UNAVAILABLE (injected via a dispatcher interceptor, so keep-alive framing
-/// stays intact and the sweep isolates the retry policy itself).
+/// Round trips over loopback TCP decorated by rpc::FaultyTransport, which
+/// faults a seeded fraction of connections: refused, garbled, or with the
+/// answer swallowed after the server ran the call. The pool parks no idle
+/// connection, so every call dials and draws a fault; echo is idempotent, so
+/// the retry arm retries every fault kind.
 ///
 /// Args: {fault rate in percent, retry on/off}. Reported counters:
-/// success_rate, p50_us, p99_us.
+/// success_rate, p50_us, p99_us, retries, faults.
 void BM_FaultyTransport(benchmark::State& state) {
   const double fault_rate = static_cast<double>(state.range(0)) / 100.0;
   const bool with_retry = state.range(1) != 0;
@@ -273,18 +273,6 @@ void BM_FaultyTransport(benchmark::State& state) {
       "echo", [](const Array& params, const CallContext&) -> gae::Result<Value> {
         return params.empty() ? Value() : params.front();
       });
-  // Deterministic per-call faults: same seed, same fault sequence.
-  auto rng = std::make_shared<Rng>(20'260'806);
-  auto rng_mutex = std::make_shared<std::mutex>();
-  dispatcher->add_interceptor(
-      [fault_rate, rng, rng_mutex](const std::string&, const CallContext&) -> Status {
-        std::lock_guard<std::mutex> lock(*rng_mutex);
-        if (rng->bernoulli(fault_rate)) {
-          return unavailable_error("injected transport fault");
-        }
-        return Status::ok();
-      });
-
   RpcServer server(dispatcher, ServerOptions{0, 2});
   auto port = server.start();
   if (!port.is_ok()) {
@@ -292,12 +280,21 @@ void BM_FaultyTransport(benchmark::State& state) {
     return;
   }
 
+  // Deterministic per-connection faults: same seed, same fault sequence.
+  FaultPlan plan;
+  plan.fault_rate = fault_rate;
+  plan.seed = 20'260'806;
+  FaultyTransport faulty(&tcp_transport(), plan);
+
   ClientOptions options;
   options.default_call.retry.max_attempts = with_retry ? 4 : 1;
   options.default_call.retry.initial_backoff_ms = 1;
   options.default_call.retry.max_backoff_ms = 8;
   options.default_call.retry.jitter_fraction = 0.0;
+  options.default_call.idempotent = true;
   options.breaker.min_samples = 1u << 30;  // sweep the policy, not the breaker
+  options.pool.max_idle = 0;
+  options.transport = &faulty;
   RpcClient client({{"127.0.0.1", port.value()}}, Protocol::kXmlRpc, options);
 
   const Value payload = sample_struct(8);
@@ -330,11 +327,16 @@ void BM_FaultyTransport(benchmark::State& state) {
   state.counters["p99_us"] = benchmark::Counter(percentile(0.99));
   state.counters["retries"] = benchmark::Counter(static_cast<double>(
       client.metrics().snapshot().counter_sum("rpc.client.", ".retries")));
+  state.counters["faults"] = benchmark::Counter(static_cast<double>(faulty.faults_injected()));
 }
+// A fixed call count: every call dials, so the run length bounds the
+// sockets left in TIME_WAIT, and with one seed each arm sees the same
+// fault sequence on every run.
 BENCHMARK(BM_FaultyTransport)
     ->Args({1, 0})->Args({1, 1})
     ->Args({5, 0})->Args({5, 1})
     ->Args({20, 0})->Args({20, 1})
+    ->Iterations(2000)
     ->Unit(benchmark::kMicrosecond);
 
 /// --bench_json mode: a direct percentile measurement of the loopback round

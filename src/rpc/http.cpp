@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <optional>
 #include <string_view>
 
 namespace gae::rpc::http {
@@ -100,11 +101,9 @@ Result<std::size_t> read_head(Stream& stream, std::string& buf, std::size_t max_
   }
 }
 
-/// Parses a header value as a non-negative decimal int (clamped to 2e9),
-/// ignoring surrounding whitespace. -1 on empty or non-numeric values —
-/// callers treat that as absent.
+/// Parses a header value as a non-negative decimal int (clamped to 2e9).
+/// -1 on empty or non-numeric values — callers treat that as absent.
 int header_value_int(std::string_view value) {
-  value = trim(value);
   if (value.empty()) return -1;
   long long parsed = 0;
   for (const char c : value) {
@@ -115,11 +114,24 @@ int header_value_int(std::string_view value) {
   return static_cast<int>(parsed);
 }
 
-/// Parses the header lines left in `lines` into `out` (names lower-cased,
-/// names and values trimmed, the last of a repeated name wins). A request
-/// passes `req`: its x-gae-trace, x-gae-deadline and x-gae-tier headers go
-/// to their dedicated slots instead of the map.
-Status parse_headers(Lines& lines, Headers& out, Request* req = nullptr) {
+/// The header values of one head, as trimmed views into the buffer the head
+/// was read into (empty = absent), and the body length it declares.
+struct HeadFields {
+  std::string_view content_type;
+  std::string_view connection;
+  std::string_view session;
+  std::string_view trace;
+  std::string_view deadline;
+  std::string_view tier;
+  std::size_t content_length = 0;
+};
+
+/// Parses the header lines left in `lines` into `head`, for requests and
+/// responses alike: names match in any case, names and values are trimmed,
+/// the last of a repeated name wins, and any header the fabric does not
+/// speak is skipped.
+Status parse_headers(Lines& lines, HeadFields& head, std::size_t max_body_bytes) {
+  std::optional<std::string_view> content_length;
   std::string_view line;
   while (lines.next(line)) {
     if (line.empty()) continue;
@@ -129,41 +141,46 @@ Status parse_headers(Lines& lines, Headers& out, Request* req = nullptr) {
     }
     const std::string_view name = trim(line.substr(0, colon));
     const std::string_view value = trim(line.substr(colon + 1));
-    if (req && iequals(name, "x-gae-trace")) {
-      req->trace.assign(value);
-    } else if (req && iequals(name, "x-gae-deadline")) {
-      req->deadline_ms = header_value_int(value);
-    } else if (req && iequals(name, "x-gae-tier")) {
-      req->tier = header_value_int(value);
-    } else {
-      std::string key(name);
-      for (char& c : key) c = to_lower(c);
-      out.insert_or_assign(std::move(key), std::string(value));
+    if (iequals(name, "content-type")) {
+      head.content_type = value;
+    } else if (iequals(name, "content-length")) {
+      content_length = value;
+    } else if (iequals(name, "connection")) {
+      head.connection = value;
+    } else if (iequals(name, "x-clarens-session")) {
+      head.session = value;
+    } else if (iequals(name, "x-gae-trace")) {
+      head.trace = value;
+    } else if (iequals(name, "x-gae-deadline")) {
+      head.deadline = value;
+    } else if (iequals(name, "x-gae-tier")) {
+      head.tier = value;
+    }
+  }
+  if (!content_length) return Status::ok();
+  // Strict parse: digits only, every byte checked, range-checked against the
+  // body cap as the digits accumulate (so "999...9" cannot wrap). A partial
+  // parse ("123abc" -> 123) or a sign ("-1" -> huge) would desync the
+  // framing from what the peer actually sent.
+  const std::string_view text = *content_length;
+  if (text.empty()) return invalid_argument_error("http: bad content-length: empty");
+  for (const char c : text) {
+    if (c < '0' || c > '9') {
+      return invalid_argument_error("http: bad content-length: " + std::string(text));
+    }
+    head.content_length = head.content_length * 10 + static_cast<std::size_t>(c - '0');
+    if (head.content_length > max_body_bytes) {
+      return invalid_argument_error("http: body too large");
     }
   }
   return Status::ok();
 }
 
 /// Turns `buf` (head, marker and spilled body bytes, as read_head left it)
-/// into the body: drops the head, then reads the rest of the Content-Length
-/// with one read_exact.
+/// into the body: drops the head, then reads the rest of the
+/// `content_length` bytes with one read_exact.
 Result<std::string> read_body(Stream& stream, std::string buf, std::size_t body_start,
-                              const Headers& headers, std::size_t max_body_bytes) {
-  std::size_t content_length = 0;
-  auto it = headers.find("content-length");
-  if (it != headers.end()) {
-    // Strict parse: digits only, every byte checked, range-checked against
-    // the body cap as the digits accumulate (so "999...9" cannot wrap). A
-    // partial parse ("123abc" -> 123) or a sign ("-1" -> huge) would desync
-    // the framing from what the peer actually sent.
-    const std::string& text = it->second;
-    if (text.empty()) return invalid_argument_error("http: bad content-length: empty");
-    for (const char c : text) {
-      if (c < '0' || c > '9') return invalid_argument_error("http: bad content-length: " + text);
-      content_length = content_length * 10 + static_cast<std::size_t>(c - '0');
-      if (content_length > max_body_bytes) return invalid_argument_error("http: body too large");
-    }
-  }
+                              std::size_t content_length) {
   const std::size_t spilled = buf.size() - body_start;
   if (spilled > content_length) {
     // Pipelined extra bytes are unsupported by this minimal framing.
@@ -178,29 +195,7 @@ Result<std::string> read_body(Stream& stream, std::string buf, std::size_t body_
   return buf;
 }
 
-/// The value of header `key` (any case), or `fallback`.
-std::string header_or(const Headers& headers, const std::string& key,
-                      const std::string& fallback) {
-  std::string lowered(key);
-  for (char& c : lowered) c = to_lower(c);
-  auto it = headers.find(lowered);
-  return it == headers.end() ? fallback : it->second;
-}
-
 }  // namespace
-
-std::string Request::header(const std::string& key, const std::string& fallback) const {
-  return header_or(headers, key, fallback);
-}
-
-bool Request::keep_alive() const {
-  auto it = headers.find("connection");
-  return it == headers.end() || !iequals(it->second, "close");
-}
-
-std::string Response::header(const std::string& key, const std::string& fallback) const {
-  return header_or(headers, key, fallback);
-}
 
 Result<Request> read_request(Stream& stream, const ReadLimits& limits) {
   std::string buf;
@@ -217,14 +212,20 @@ Result<Request> read_request(Stream& stream, const ReadLimits& limits) {
   if (version.empty()) {
     return invalid_argument_error("http: malformed request line: " + std::string(request_line));
   }
+  HeadFields fields;
+  const Status hs = parse_headers(lines, fields, limits.max_body_bytes);
+  if (!hs.is_ok()) return hs;
   Request req;
   req.method.assign(method);
   req.path.assign(path);
-  const Status hs = parse_headers(lines, req.headers, &req);
-  if (!hs.is_ok()) return hs;
+  req.content_type.assign(fields.content_type);
+  req.session.assign(fields.session);
+  req.trace.assign(fields.trace);
+  req.deadline_ms = header_value_int(fields.deadline);
+  req.tier = header_value_int(fields.tier);
+  req.keep_alive = !iequals(fields.connection, "close");
 
-  auto body = read_body(stream, std::move(buf), head.value() + 4, req.headers,
-                        limits.max_body_bytes);
+  auto body = read_body(stream, std::move(buf), head.value() + 4, fields.content_length);
   if (!body.is_ok()) return body.status();
   req.body = std::move(body).value();
   return req;
@@ -237,17 +238,10 @@ Status write_request(Stream& stream, const Request& req) {
   out += ' ';
   out += req.path;
   out += " HTTP/1.1\r\n";
-  bool have_host = false;
-  for (const auto& [k, v] : req.headers) {
-    // A caller-supplied content-length that disagrees with the body would
-    // desync framing on the persistent connection (the peer reads too few or
-    // too many bytes, corrupting every later exchange) — always emit the
-    // actual size, as write_response does.
-    if (k == "content-length") continue;
-    append_header(out, k, v);
-    if (k == "host") have_host = true;
-  }
-  if (!have_host) out += "host: localhost\r\n";
+  out += req.keep_alive ? "connection: keep-alive\r\n" : "connection: close\r\n";
+  if (!req.content_type.empty()) append_header(out, "content-type", req.content_type);
+  if (!req.session.empty()) append_header(out, "x-clarens-session", req.session);
+  out += "host: localhost\r\n";
   if (!req.trace.empty()) append_header(out, "x-gae-trace", req.trace);
   if (req.deadline_ms >= 0) {
     out += "x-gae-deadline: ";
@@ -291,11 +285,12 @@ Result<Response> read_response(Stream& stream, const ReadLimits& limits) {
   rest.remove_prefix(static_cast<std::size_t>(code.ptr - rest.data()));
   if (!rest.empty()) resp.reason.assign(trim(rest));
 
-  const Status hs = parse_headers(lines, resp.headers);
+  HeadFields fields;
+  const Status hs = parse_headers(lines, fields, limits.max_body_bytes);
   if (!hs.is_ok()) return hs;
+  resp.content_type.assign(fields.content_type);
 
-  auto body = read_body(stream, std::move(buf), head.value() + 4, resp.headers,
-                        limits.max_body_bytes);
+  auto body = read_body(stream, std::move(buf), head.value() + 4, fields.content_length);
   if (!body.is_ok()) return body.status();
   resp.body = std::move(body).value();
   return resp;
@@ -309,10 +304,7 @@ Status write_response(Stream& stream, const Response& resp, bool keep_alive) {
   out += ' ';
   out += resp.reason;
   out += "\r\n";
-  for (const auto& [k, v] : resp.headers) {
-    if (k == "content-length" || k == "connection") continue;
-    append_header(out, k, v);
-  }
+  if (!resp.content_type.empty()) append_header(out, "content-type", resp.content_type);
   out += keep_alive ? "connection: keep-alive\r\n" : "connection: close\r\n";
   out += "content-length: ";
   append_int(out, static_cast<long long>(resp.body.size()));

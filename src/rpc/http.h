@@ -9,8 +9,6 @@
 // schedule.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <string>
 
 #include "common/status.h"
@@ -18,41 +16,38 @@
 
 namespace gae::rpc::http {
 
-/// Header fields by lower-cased name. The comparator is transparent, so a
-/// lookup by a lower-case literal (`headers.find("content-type")`) builds no
-/// key string.
-using Headers = std::map<std::string, std::string, std::less<>>;
+// The fabric speaks eight header names: content-type, content-length,
+// connection, host, x-clarens-session, x-gae-trace, x-gae-deadline and
+// x-gae-tier. Each has one typed field below, except content-length, which
+// the writers derive from the body, and host, which they always send as
+// "localhost" and the readers ignore. Readers match names in any case and
+// skip every other well-formed header line.
 
 struct Request {
   std::string method = "POST";
   std::string path = "/";
-  Headers headers;
   std::string body;
-  /// The x-gae-trace header, carried outside the generic map: it is on the
-  /// hot path of every traced RPC, and the map costs a node allocation plus
-  /// several string temporaries per message. Set this instead of
-  /// headers["x-gae-trace"]; readers find wire values here, never in the map.
+  /// content-type ("" = absent).
+  std::string content_type;
+  /// x-clarens-session: the caller's session token ("" = none).
+  std::string session;
+  /// x-gae-trace: the caller's trace context ("" = none).
   std::string trace;
-  /// The x-gae-deadline header (remaining whole-call budget in milliseconds
-  /// at send time), same dedicated-slot design as `trace`. -1 = absent.
+  /// x-gae-deadline: remaining whole-call budget in milliseconds at send
+  /// time. -1 = absent.
   int deadline_ms = -1;
-  /// The x-gae-tier header (request criticality, 0 = most critical). Same
-  /// dedicated-slot design. -1 = absent.
+  /// x-gae-tier: request criticality, 0 = most critical. -1 = absent.
   int tier = -1;
-
-  /// The value of header `key` (any case), or `fallback`.
-  std::string header(const std::string& key, const std::string& fallback = "") const;
-  /// False only for "Connection: close" (any case).
-  bool keep_alive() const;
+  /// connection: false only for "Connection: close" (any case).
+  bool keep_alive = true;
 };
 
 struct Response {
   int status_code = 200;
   std::string reason = "OK";
-  Headers headers;
   std::string body;
-
-  std::string header(const std::string& key, const std::string& fallback = "") const;
+  /// content-type ("" = absent).
+  std::string content_type;
 };
 
 /// Size caps applied while reading a message off the wire; a peer exceeding

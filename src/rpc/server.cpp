@@ -185,22 +185,16 @@ StatusCode fault_code_to_status(int fault_code) {
 // framed HTTP response", private to RequestEngine.
 namespace {
 
-/// True when the request's content type selects the JSON-RPC codec (absent
-/// means text/xml).
-bool rpc_request_is_json(const http::Request& req) {
-  auto it = req.headers.find("content-type");
-  return it != req.headers.end() && it->second.find("json") != std::string::npos;
-}
+/// The content type an answer in the request's protocol carries.
+const char* rpc_content_type(bool is_json) { return is_json ? "application/json" : "text/xml"; }
 
 /// Builds the per-call context from the request's transport fields.
 /// `queue_delay_us` is charged against the arriving deadline budget.
-CallContext rpc_context_from_request(const http::Request& req, std::int64_t picked_up_us,
-                                     std::int64_t queue_delay_us) {
+CallContext rpc_context_from_request(const http::Request& req, bool is_json,
+                                     std::int64_t picked_up_us, std::int64_t queue_delay_us) {
   CallContext ctx;
-  if (auto it = req.headers.find("x-clarens-session"); it != req.headers.end()) {
-    ctx.session_token = it->second;
-  }
-  ctx.protocol = rpc_request_is_json(req) ? "jsonrpc" : "xmlrpc";
+  ctx.session_token = req.session;
+  ctx.protocol = is_json ? "jsonrpc" : "xmlrpc";
   // Trace context rides the x-gae-trace header.
   ctx.trace = req.trace;
   ctx.tier = criticality_from_wire(req.tier);
@@ -217,12 +211,11 @@ CallContext rpc_context_from_request(const http::Request& req, std::int64_t pick
 /// Decodes the body, dispatches through `dispatch` (invoked at most once, for
 /// a well-formed call) and encodes the reply, faults included.
 http::Response rpc_dispatch_request(
-    const http::Request& req, const CallContext& ctx,
+    const http::Request& req, bool is_json, const CallContext& ctx,
     const std::function<Result<Value>(const std::string& method, const Array& params,
                                       const CallContext& ctx)>& dispatch) {
-  const bool is_json = rpc_request_is_json(req);
   http::Response resp;
-  resp.headers["content-type"] = is_json ? "application/json" : "text/xml";
+  resp.content_type = rpc_content_type(is_json);
   if (is_json) {
     auto call = jsonrpc::decode_call(req.body);
     if (!call.is_ok()) {
@@ -259,7 +252,7 @@ http::Response rpc_shed_response(bool is_json) {
   const int fault = status_to_fault_code(StatusCode::kResourceExhausted);
   const std::string msg = "server overloaded: request shed";
   http::Response resp;
-  resp.headers["content-type"] = is_json ? "application/json" : "text/xml";
+  resp.content_type = rpc_content_type(is_json);
   resp.status_code = 503;
   resp.reason = "Service Unavailable";
   resp.body = is_json ? jsonrpc::encode_fault(fault, msg, 0) : xmlrpc::encode_fault(fault, msg);
@@ -298,7 +291,7 @@ void RequestEngine::read_failed(Stream& stream, const Status& status) {
     http::Response bad;
     bad.status_code = 400;
     bad.reason = "Bad Request";
-    bad.headers["content-type"] = "text/plain";
+    bad.content_type = "text/plain";
     bad.body = status.message() + "\n";
     (void)http::write_response(stream, bad, /*keep_alive=*/false);
   } else if (status.code() != StatusCode::kUnavailable) {
@@ -315,8 +308,10 @@ bool RequestEngine::serve_one(Stream& stream, ConnectionState& conn) {
     return false;
   }
   const http::Request req = std::move(reqr).value();
-  const bool keep_alive = req.keep_alive();
-  const bool is_json = rpc_request_is_json(req);
+  const bool keep_alive = req.keep_alive;
+  // A content type naming json selects the JSON-RPC codec; any other,
+  // absent included, selects XML-RPC.
+  const bool is_json = req.content_type.find("json") != std::string::npos;
 
   // The first request on a connection additionally pays for the time since
   // the accept — the budget kept draining while the connection waited for a
@@ -327,7 +322,7 @@ bool RequestEngine::serve_one(Stream& stream, ConnectionState& conn) {
   const std::int64_t queue_delay_us = first_request && picked_up_us > conn.accepted_at_us
                                           ? picked_up_us - conn.accepted_at_us
                                           : 0;
-  const CallContext ctx = rpc_context_from_request(req, picked_up_us, queue_delay_us);
+  const CallContext ctx = rpc_context_from_request(req, is_json, picked_up_us, queue_delay_us);
 
   // Admission: a first request whose connection sat in the acceptor queue
   // past the CoDel bound is shed and its connection closed (closing is what
@@ -357,7 +352,8 @@ bool RequestEngine::serve_one(Stream& stream, ConnectionState& conn) {
   // Dispatch timed at the admission layer: the sample feeds the AIMD limit,
   // and the gauges publish the limit it settled on.
   const http::Response resp = rpc_dispatch_request(
-      req, ctx, [&](const std::string& method, const Array& params, const CallContext& call_ctx) {
+      req, is_json, ctx,
+      [&](const std::string& method, const Array& params, const CallContext& call_ctx) {
         const std::int64_t start_us = steady_now_us();
         auto result = dispatcher_->dispatch(method, params, call_ctx);
         if (admission) {

@@ -8,13 +8,13 @@ EventId Simulation::schedule_at(SimTime t, std::function<void()> fn) {
   if (t < now()) t = now();
   const EventId id = next_id_++;
   queue_.push(Event{t, id, std::move(fn)});
+  live_.insert(id);
   return id;
 }
 
 bool Simulation::cancel(EventId id) {
-  if (id == kInvalidEvent || id >= next_id_) return false;
-  // Lazy deletion: remember the id; skip it when popped.
-  return cancelled_.insert(id).second;
+  // Lazy deletion: the queued event stays put and is skipped when popped.
+  return live_.erase(id) > 0;
 }
 
 bool Simulation::step() {
@@ -23,7 +23,7 @@ bool Simulation::step() {
     // cost of lazy deletion, acceptable at this scale.
     Event ev = queue_.top();
     queue_.pop();
-    if (cancelled_.erase(ev.id) > 0) continue;
+    if (live_.erase(ev.id) == 0) continue;  // cancelled
     clock_.advance_to(ev.time);
     ++fired_;
     ev.fn();
@@ -35,8 +35,7 @@ bool Simulation::step() {
 void Simulation::run_until(SimTime t) {
   while (!queue_.empty()) {
     const Event& top = queue_.top();
-    if (cancelled_.count(top.id)) {
-      cancelled_.erase(top.id);
+    if (!live_.count(top.id)) {  // cancelled
       queue_.pop();
       continue;
     }

@@ -52,7 +52,7 @@ class Simulation {
   /// Returns the number of events fired.
   std::uint64_t run(std::uint64_t max_events = UINT64_MAX);
 
-  bool empty() const { return queue_.size() == cancelled_.size(); }
+  bool empty() const { return live_.empty(); }
 
   std::uint64_t events_fired() const { return fired_; }
 
@@ -71,7 +71,10 @@ class Simulation {
 
   ManualClock clock_;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<EventId> cancelled_;
+  /// Ids of the events still pending: scheduled, neither fired nor
+  /// cancelled. A queued event whose id is missing here was cancelled and is
+  /// skipped when popped.
+  std::unordered_set<EventId> live_;
   EventId next_id_ = 1;
   std::uint64_t fired_ = 0;
 };

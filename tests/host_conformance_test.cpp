@@ -113,7 +113,7 @@ class HostConformance : public ::testing::Test {
   /// Sends `body` as one request and reads its answer.
   static Reply send(rpc::Stream& stream, bool json, std::string body) {
     rpc::http::Request req;
-    req.headers["content-type"] = json ? "application/json" : "text/xml";
+    req.content_type = json ? "application/json" : "text/xml";
     req.body = std::move(body);
     Reply reply;
     EXPECT_TRUE(rpc::http::write_request(stream, req).is_ok());
@@ -121,7 +121,7 @@ class HostConformance : public ::testing::Test {
     EXPECT_TRUE(resp.is_ok()) << resp.status().message();
     if (!resp.is_ok()) return reply;
     reply.status_code = resp.value().status_code;
-    reply.content_type = resp.value().header("content-type");
+    reply.content_type = resp.value().content_type;
     if (json) {
       auto decoded = rpc::jsonrpc::decode_response(resp.value().body);
       EXPECT_TRUE(decoded.is_ok()) << decoded.status().message();

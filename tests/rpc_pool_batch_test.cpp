@@ -17,7 +17,6 @@
 #include "ha/failover.h"
 #include "jobmon/read_cache.h"
 #include "net/socket.h"
-#include "rpc/batch.h"
 #include "rpc/client.h"
 #include "rpc/pool.h"
 #include "rpc/server.h"
@@ -550,25 +549,6 @@ TEST(RpcBatch, SingleItemBatchDegradesToPlainCall) {
   EXPECT_EQ(client.metrics().counter("rpc.client.batches").value(), 0u);
 
   EXPECT_TRUE(client.call_many({}).empty());
-  server.stop();
-}
-
-TEST(RpcBatch, BatchBuilderAccumulatesAndFlushes) {
-  auto dispatcher = echo_dispatcher();
-  dispatcher->enable_batch();
-  RpcServer server(dispatcher, ServerOptions{0, 2});
-  auto port = server.start();
-  ASSERT_TRUE(port.is_ok());
-  RpcClient client({{"127.0.0.1", port.value()}}, Protocol::kJsonRpc, {});
-
-  BatchBuilder batch(client);
-  batch.add("echo", {Value(1)}).add("echo", {Value(2)}, Criticality::kBulk);
-  EXPECT_EQ(batch.size(), 2u);
-  auto results = batch.send();
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].value().as_int(), 1);
-  EXPECT_EQ(results[1].value().as_int(), 2);
-  EXPECT_TRUE(batch.empty());  // send() resets the builder
   server.stop();
 }
 

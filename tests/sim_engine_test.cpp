@@ -145,5 +145,22 @@ TEST(Simulation, EmptyReflectsCancelledEvents) {
   EXPECT_TRUE(sim.empty());
 }
 
+TEST(Simulation, CancelAfterFiringIsRefusedAndLeavesNoGhost) {
+  // Regression: cancel() only checked that the id had been handed out, so a
+  // fired event could be "cancelled"; its id then sat in the cancelled set
+  // forever and empty() (which compared set and queue sizes) reported an
+  // empty queue while a later event was still pending.
+  Simulation sim;
+  int fired = 0;
+  const EventId a = sim.schedule_at(10, [&] { ++fired; });
+  sim.run();
+  EXPECT_FALSE(sim.cancel(a));
+  sim.schedule_at(20, [&] { ++fired; });
+  EXPECT_FALSE(sim.empty());
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(fired, 2);
+  EXPECT_TRUE(sim.empty());
+}
+
 }  // namespace
 }  // namespace gae::sim
