@@ -1,6 +1,7 @@
 // E8 micro-benchmarks: estimator core costs (similarity search, statistical
-// estimate, the brownout fallback, history appends) as history grows, and
-// the queue-wait estimate over a site's queue.
+// estimate, the brownout fallback, history appends) as history grows, the
+// queue-wait estimate over a site's queue, and what keeping that queue's
+// positions current costs its writes.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -112,10 +113,10 @@ void BM_Record(benchmark::State& state) {
 }
 BENCHMARK(BM_Record)->Arg(1024);
 
-// One queue-wait estimate at a site holding 48 queued tasks of priorities
-// 0-3, each with a recorded estimate, as in gaebench's estimate_query.
+// One queue-wait estimate at a site holding N queued tasks of priorities
+// 0-3, each with a recorded estimate; N = 48 is gaebench's estimate_query.
 void BM_QueueTime(benchmark::State& state) {
-  constexpr int kQueued = 48;
+  const auto kQueued = static_cast<int>(state.range(0));
   sim::Simulation sim;
   sim::Grid grid;
   grid.add_site("s").add_node("n0", 1.0, nullptr);
@@ -142,7 +143,39 @@ void BM_QueueTime(benchmark::State& state) {
     benchmark::DoNotOptimize(estimator.estimate(ids[i++ % ids.size()]));
   }
 }
-BENCHMARK(BM_QueueTime);
+BENCHMARK(BM_QueueTime)->Arg(48)->Arg(1024);
+
+// Submits N tasks of priorities 0-3 to a one-node site, then runs them all:
+// every submit inserts into the queue and every dispatch takes its head, so
+// this prices the queue's writes (position upkeep included).
+void BM_SubmitAndDrain(benchmark::State& state) {
+  const auto tasks = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Simulation sim;
+    sim::Grid grid;
+    grid.add_site("s").add_node("n0", 1.0, nullptr);
+    exec::ExecutionService service(sim, grid, "s");
+    Rng rng(7);
+    for (int i = 0; i < tasks; ++i) {
+      exec::TaskSpec spec;
+      spec.id = "s-q" + std::to_string(i);
+      spec.owner = "alice";
+      spec.work_seconds = 10.0;
+      spec.priority = static_cast<int>(rng.uniform_int(0, 3));
+      if (!service.submit(spec).is_ok()) {
+        state.SkipWithError("submit failed");
+        return;
+      }
+    }
+    sim.run();
+    if (!service.queued_tasks().empty()) {
+      state.SkipWithError("queue not drained");
+      return;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * tasks);
+}
+BENCHMARK(BM_SubmitAndDrain)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 void BM_TraceGeneration(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,8 +1,10 @@
 #include "estimators/estimate_db.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <vector>
 
 #include "common/kvcodec.h"
 #include "common/log.h"
@@ -67,10 +69,22 @@ Result<double> EstimateDatabase::get(const std::string& task_id) const {
   return it->second;
 }
 
+std::optional<double> EstimateDatabase::lookup(const std::string& task_id) const {
+  if (health_ && !health_->readable()) return std::nullopt;
+  auto it = estimates_.find(task_id);
+  if (it == estimates_.end()) return std::nullopt;
+  return it->second;
+}
+
 std::string EstimateDatabase::export_state() const {
+  std::vector<const std::pair<const std::string, double>*> sorted;
+  sorted.reserve(estimates_.size());
+  for (const auto& entry : estimates_) sorted.push_back(&entry);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
   std::string out;
-  for (const auto& [task_id, value] : estimates_) {
-    out += encode_put(task_id, value);
+  for (const auto* entry : sorted) {
+    out += encode_put(entry->first, entry->second);
     out += '\n';
   }
   return out;
@@ -89,7 +103,7 @@ Status EstimateDatabase::recover() {
   if (health_) health_->note_recover(stats);
   const WalReadResult& log = read.value();
 
-  std::map<std::string, double> recovered;
+  std::unordered_map<std::string, double> recovered;
   auto apply = [&recovered](const std::string& line) -> Status {
     std::istringstream in(line);
     std::string op, task;

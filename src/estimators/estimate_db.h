@@ -7,8 +7,9 @@
 // restarted estimator service.
 #pragma once
 
-#include <map>
+#include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "common/status.h"
 #include "common/wal.h"
@@ -36,6 +37,9 @@ class EstimateDatabase {
   /// NOT_FOUND when no estimate was recorded for the task; UNAVAILABLE
   /// while the store is quarantined.
   Result<double> get(const std::string& task_id) const;
+  /// get() for hot paths that only need the value: nullopt wherever get()
+  /// fails, without building the error.
+  std::optional<double> lookup(const std::string& task_id) const;
 
   bool has(const std::string& task_id) const { return estimates_.count(task_id) != 0; }
   void erase(const std::string& task_id);
@@ -46,14 +50,14 @@ class EstimateDatabase {
   /// Rebuilds the map from the WAL (last snapshot + tail); idempotent,
   /// replaces in-memory state, tolerates a torn final record.
   Status recover();
-  /// Canonical one-line-per-entry serialisation (snapshot payload; tests
-  /// byte-compare recovered state through it).
+  /// Canonical one-line-per-entry serialisation in task-id order (snapshot
+  /// payload; tests byte-compare recovered state through it).
   std::string export_state() const;
 
  private:
   Wal* wal_ = nullptr;
   storage::StoreHealth* health_ = nullptr;
-  std::map<std::string, double> estimates_;
+  std::unordered_map<std::string, double> estimates_;
 };
 
 }  // namespace gae::estimators

@@ -12,9 +12,9 @@ QueueTimeEstimator::QueueTimeEstimator(const exec::ExecutionService& service,
 }
 
 Result<QueueTimeEstimate> QueueTimeEstimator::estimate(const std::string& task_id) const {
-  auto target = service_.query(task_id);
+  auto target = service_.view(task_id);
   if (!target.is_ok()) return target.status();
-  const exec::TaskInfo& info = target.value();
+  const exec::ExecutionService::TaskView& info = target.value();
 
   QueueTimeEstimate out;
   // A task that already left the queue waits no further.
@@ -27,15 +27,14 @@ Result<QueueTimeEstimate> QueueTimeEstimator::estimate(const std::string& task_i
     const bool on_node = other.state == exec::TaskState::kRunning ||
                          other.state == exec::TaskState::kStaging;
     if (on_node) ++occupied;
-    if (other.spec.id == task_id || exec::is_terminal(other.state)) return;
+    if (&other.spec == &info.spec || exec::is_terminal(other.state)) return;
     if (other.state == exec::TaskState::kSuspended) return;  // holds no node, waits idle
 
     bool counts = other.spec.priority > info.spec.priority;
     if (!counts && options_.include_equal_priority_ahead &&
         other.spec.priority == info.spec.priority &&
         other.state == exec::TaskState::kQueued) {
-      counts = other.queue_position >= 0 && info.queue_position >= 0 &&
-               other.queue_position < info.queue_position;
+      counts = other.queue_position < info.queue_position;  // both queued, so both >= 0
     }
     // Running/staging tasks occupy nodes regardless of priority relation:
     // the paper's step (b) pulls elapsed runtimes "from the queue", which in
@@ -43,7 +42,7 @@ Result<QueueTimeEstimate> QueueTimeEstimator::estimate(const std::string& task_i
     if (!counts && !on_node) return;
 
     const double estimated =
-        estimates_->get(other.spec.id).value_or(options_.fallback_estimate_seconds);
+        estimates_->lookup(other.spec.id).value_or(options_.fallback_estimate_seconds);
     const double remaining = std::max(0.0, estimated - other.cpu_seconds_used);
     out.seconds += remaining;
     ++out.tasks_ahead;

@@ -1,5 +1,7 @@
 #include "estimators/rpc_binding.h"
 
+#include <cmath>
+
 #include "telemetry/instrument.h"
 
 namespace gae::estimators {
@@ -76,11 +78,19 @@ void register_estimator_methods(clarens::ClarensHost& host, EstimatorService& se
             !params[2].is_number()) {
           return invalid_argument_error("estimator.transferTime(src, dst, bytes[, now])");
         }
-        const SimTime now =
-            params.size() > 3 ? from_seconds(params[3].as_double()) : SimTime{0};
+        // Casting a negative, NaN or too large double to an integer is
+        // undefined, so such values are refused before the casts.
+        const double bytes = params[2].as_double();
+        if (!(bytes >= 0.0 && bytes < 0x1p64)) {
+          return invalid_argument_error("estimator.transferTime: bytes must be in [0, 2^64)");
+        }
+        const double now_seconds = params.size() > 3 ? params[3].as_double() : 0.0;
+        if (!(std::abs(now_seconds) < 9e12)) {  // SimTime counts int64 microseconds
+          return invalid_argument_error("estimator.transferTime: now out of range");
+        }
         auto est = service.transfer_time(params[0].as_string(), params[1].as_string(),
-                                         static_cast<std::uint64_t>(params[2].as_double()),
-                                         now);
+                                         static_cast<std::uint64_t>(bytes),
+                                         from_seconds(now_seconds));
         if (!est.is_ok()) return est.status();
         Struct out;
         out["seconds"] = Value(est.value().seconds);

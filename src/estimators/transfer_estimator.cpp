@@ -26,22 +26,20 @@ Result<TransferEstimate> FileTransferEstimator::estimate(const std::string& src,
     return out;
   }
 
-  const auto key = std::make_pair(src, dst);
-  auto it = cache_.find(key);
-  const bool stale = it == cache_.end() ||
-                     now - it->second.at > from_seconds(options_.probe_ttl_seconds);
-  if (stale) {
-    // "Run iperf": sample the true link bandwidth with measurement noise.
-    const sim::Link link = grid_.link(src, dst);
-    double measured = link.bandwidth_bytes_per_sec;
-    if (options_.probe_noise > 0) {
-      measured *= std::max(0.05, rng_.normal(1.0, options_.probe_noise));
+  const double bandwidth = [&] {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    auto [it, fresh] = cache_.try_emplace(std::make_pair(src, dst));
+    Probe& probe = it->second;
+    if (fresh || now - probe.at > from_seconds(options_.probe_ttl_seconds)) {
+      // "Run iperf": sample the true link bandwidth with measurement noise.
+      double measured = grid_.link(src, dst).bandwidth_bytes_per_sec;
+      if (options_.probe_noise > 0) {
+        measured *= std::max(0.05, rng_.normal(1.0, options_.probe_noise));
+      }
+      probe = Probe{measured, now};
     }
-    cache_[key] = Probe{measured, now};
-    it = cache_.find(key);
-  }
-
-  const double bandwidth = it->second.bandwidth;
+    return probe.bandwidth;
+  }();
   if (bandwidth <= 0) return failed_precondition_error("no bandwidth " + src + "->" + dst);
   out.bandwidth_bytes_per_sec = bandwidth;
   out.seconds = static_cast<double>(bytes) / bandwidth +
@@ -51,6 +49,7 @@ Result<TransferEstimate> FileTransferEstimator::estimate(const std::string& src,
 
 Result<double> FileTransferEstimator::cached_bandwidth(const std::string& src,
                                                        const std::string& dst) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
   auto it = cache_.find({src, dst});
   if (it == cache_.end()) return not_found_error("no probe for " + src + "->" + dst);
   return it->second.bandwidth;

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 
 #include "common/rng.h"
@@ -31,7 +32,8 @@ struct TransferEstimatorOptions {
   std::uint64_t noise_seed = 7;
 };
 
-/// Estimates transfers across the simulated grid.
+/// Estimates transfers across the simulated grid. Thread-safe: concurrent
+/// RPC workers share one instance.
 class FileTransferEstimator {
  public:
   FileTransferEstimator(const sim::Grid& grid, TransferEstimatorOptions options = {});
@@ -52,6 +54,7 @@ class FileTransferEstimator {
 
   const sim::Grid& grid_;
   TransferEstimatorOptions options_;
+  mutable std::mutex mutex_;  // guards rng_ and cache_
   Rng rng_;
   std::map<std::pair<std::string, std::string>, Probe> cache_;
 };

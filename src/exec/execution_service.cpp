@@ -47,7 +47,7 @@ Status ExecutionService::submit(const TaskSpec& spec, double initial_cpu_seconds
   rec.info.progress = rec.info.cpu_seconds_used / spec.work_seconds;
   auto [it, _] = tasks_.emplace(spec.id, std::move(rec));
 
-  enqueue(spec.id);
+  enqueue(it->second);
   transition(it->second, TaskState::kQueued, "submitted");
   try_dispatch();
   return Status::ok();
@@ -61,7 +61,7 @@ Status ExecutionService::kill(const std::string& task_id, const std::string& rea
     return failed_precondition_error("task already terminal: " + task_id);
   }
   accrue(*rec);
-  remove_from_queue(task_id);
+  remove_from_queue(*rec);
   detach_from_node(*rec);
   finish(*rec, TaskState::kKilled, reason);
   try_dispatch();
@@ -74,7 +74,7 @@ Status ExecutionService::suspend(const std::string& task_id) {
   if (!rec) return not_found_error("no such task: " + task_id);
   switch (rec->info.state) {
     case TaskState::kQueued:
-      remove_from_queue(task_id);
+      remove_from_queue(*rec);
       break;
     case TaskState::kStaging:
       // Staging restarts from scratch on resume; nothing was accounted yet.
@@ -102,7 +102,7 @@ Status ExecutionService::resume(const std::string& task_id) {
                                      std::string(task_state_name(rec->info.state)));
   }
   transition(*rec, TaskState::kQueued, "resumed");
-  enqueue(task_id);
+  enqueue(*rec);
   try_dispatch();
   return Status::ok();
 }
@@ -116,8 +116,8 @@ Status ExecutionService::set_priority(const std::string& task_id, int priority) 
   }
   rec->info.spec.priority = priority;
   if (rec->info.state == TaskState::kQueued) {
-    remove_from_queue(task_id);
-    enqueue(task_id);
+    remove_from_queue(*rec);
+    enqueue(*rec);
     try_dispatch();
   }
   return Status::ok();
@@ -142,7 +142,7 @@ Status ExecutionService::inject_task_failure(const std::string& task_id,
     return failed_precondition_error("task already terminal: " + task_id);
   }
   accrue(*rec);
-  remove_from_queue(task_id);
+  remove_from_queue(*rec);
   detach_from_node(*rec);
   finish(*rec, TaskState::kFailed, reason);
   try_dispatch();
@@ -153,70 +153,48 @@ Status ExecutionService::inject_task_failure(const std::string& task_id,
 // Queries
 // ---------------------------------------------------------------------------
 
-TaskInfo ExecutionService::snapshot(const TaskRec& rec, int queue_position) const {
+TaskInfo ExecutionService::snapshot(const TaskRec& rec) const {
   TaskInfo info = rec.info;
   info.cpu_seconds_used = current_cpu_seconds(rec);
   info.progress = std::min(1.0, info.cpu_seconds_used / info.spec.work_seconds);
-  info.queue_position = queue_position;
   return info;
+}
+
+ExecutionService::TaskView ExecutionService::view_of(const TaskRec& rec) const {
+  return {rec.info.spec, rec.info.state, rec.info.queue_position, current_cpu_seconds(rec)};
 }
 
 Result<TaskInfo> ExecutionService::query(const std::string& task_id) const {
   if (!up_) return unavailable_error("execution service at " + site_ + " is down");
   const TaskRec* rec = find(task_id);
   if (!rec) return not_found_error("no such task: " + task_id);
-  const auto queued = std::find(queue_.begin(), queue_.end(), task_id);
-  return snapshot(*rec, queued == queue_.end() ? -1
-                                               : static_cast<int>(queued - queue_.begin()));
+  return snapshot(*rec);
 }
 
-template <typename Fn>
-void ExecutionService::walk_tasks(Fn&& fn) const {
-  if (!up_) return;
-  // One pass over the queue, sorted by record; a task's first place in it
-  // wins, as in query().
-  using Place = std::pair<const TaskRec*, int>;
-  const auto before = [](const Place& a, const Place& b) {
-    return std::less<const TaskRec*>()(a.first, b.first) ||
-           (a.first == b.first && a.second < b.second);
-  };
-  std::vector<Place> position;
-  position.reserve(queue_.size());
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    if (const TaskRec* rec = find(queue_[i])) position.emplace_back(rec, static_cast<int>(i));
-  }
-  std::sort(position.begin(), position.end(), before);
-  for (const auto& [id, rec] : tasks_) {
-    const auto at = std::lower_bound(position.begin(), position.end(), Place{&rec, -1}, before);
-    fn(rec, at != position.end() && at->first == &rec ? at->second : -1);
-  }
+Result<ExecutionService::TaskView> ExecutionService::view(const std::string& task_id) const {
+  if (!up_) return unavailable_error("execution service at " + site_ + " is down");
+  const TaskRec* rec = find(task_id);
+  if (!rec) return not_found_error("no such task: " + task_id);
+  return view_of(*rec);
 }
 
 std::vector<TaskInfo> ExecutionService::list_tasks() const {
   std::vector<TaskInfo> out;
+  if (!up_) return out;
   out.reserve(tasks_.size());
-  walk_tasks([&](const TaskRec& rec, int queue_position) {
-    out.push_back(snapshot(rec, queue_position));
-  });
+  for (const auto& [id, rec] : tasks_) out.push_back(snapshot(rec));
   return out;
 }
 
 void ExecutionService::for_each_task(const std::function<void(const TaskView&)>& fn) const {
-  walk_tasks([&](const TaskRec& rec, int queue_position) {
-    fn({rec.info.spec, rec.info.state, queue_position, current_cpu_seconds(rec)});
-  });
+  if (!up_) return;
+  for (const auto& [id, rec] : tasks_) fn(view_of(rec));
 }
 
 std::vector<TaskInfo> ExecutionService::queued_tasks() const {
   std::vector<TaskInfo> out;
   out.reserve(queue_.size());
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    const TaskRec* rec = find(queue_[i]);
-    if (!rec) continue;
-    TaskInfo info = rec->info;
-    info.queue_position = static_cast<int>(i);
-    out.push_back(std::move(info));
-  }
+  for (const TaskRec* rec : queue_) out.push_back(rec->info);
   return out;
 }
 
@@ -262,6 +240,7 @@ bool ExecutionService::node_drained(std::size_t node_index) const {
 void ExecutionService::fail_service(const std::string& reason) {
   if (!up_) return;
   GAE_LOG(Warn) << "execution service at " << site_ << " failing: " << reason;
+  for (TaskRec* rec : queue_) rec->info.queue_position = -1;
   queue_.clear();
   for (auto& [id, rec] : tasks_) {
     if (is_terminal(rec.info.state)) continue;
@@ -316,34 +295,45 @@ const ExecutionService::TaskRec* ExecutionService::find(const std::string& task_
   return it == tasks_.end() ? nullptr : &it->second;
 }
 
-void ExecutionService::enqueue(const std::string& task_id) {
-  const TaskRec* rec = find(task_id);
+void ExecutionService::enqueue(TaskRec& rec) {
   // Insert before the first waiting task with strictly lower priority:
   // FIFO within a priority level.
-  auto pos = queue_.begin();
-  for (; pos != queue_.end(); ++pos) {
-    const TaskRec* other = find(*pos);
-    if (other && other->info.spec.priority < rec->info.spec.priority) break;
-  }
-  queue_.insert(pos, task_id);
+  const int priority = rec.info.spec.priority;
+  const auto pos = std::partition_point(queue_.begin(), queue_.end(), [&](const TaskRec* other) {
+    return other->info.spec.priority >= priority;
+  });
+  const auto at = queue_.insert(pos, &rec);
+  renumber_from(static_cast<std::size_t>(at - queue_.begin()));
 }
 
-void ExecutionService::remove_from_queue(const std::string& task_id) {
-  queue_.erase(std::remove(queue_.begin(), queue_.end(), task_id), queue_.end());
+void ExecutionService::remove_from_queue(TaskRec& rec) {
+  if (rec.info.queue_position < 0) return;
+  take_from_queue(static_cast<std::size_t>(rec.info.queue_position));
+}
+
+void ExecutionService::take_from_queue(std::size_t index) {
+  queue_[index]->info.queue_position = -1;
+  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(index));
+  renumber_from(index);
+}
+
+void ExecutionService::renumber_from(std::size_t index) {
+  for (; index < queue_.size(); ++index) {
+    queue_[index]->info.queue_position = static_cast<int>(index);
+  }
 }
 
 std::size_t ExecutionService::pick_next_queued() const {
   if (!options_.fair_share || queue_.size() < 2) return 0;
   // The queue is priority-ordered; fair share only reorders within the
   // highest waiting priority level.
-  const TaskRec* head = find(queue_.front());
-  if (!head) return 0;
+  const TaskRec* head = queue_.front();
   const int level = head->info.spec.priority;
   std::size_t best = 0;
   double best_usage = owner_usage(head->info.spec.owner);
   for (std::size_t i = 1; i < queue_.size(); ++i) {
-    const TaskRec* rec = find(queue_[i]);
-    if (!rec || rec->info.spec.priority != level) break;
+    const TaskRec* rec = queue_[i];
+    if (rec->info.spec.priority != level) break;
     const double usage = owner_usage(rec->info.spec.owner);
     if (usage < best_usage) {
       best_usage = usage;
@@ -358,12 +348,7 @@ void ExecutionService::try_dispatch() {
   dispatching_ = true;
   while (!queue_.empty()) {
     const std::size_t pick = pick_next_queued();
-    const std::string task_id = queue_[pick];
-    TaskRec* rec = find(task_id);
-    if (!rec || rec->info.state != TaskState::kQueued) {
-      queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));  // stale entry
-      continue;
-    }
+    TaskRec* rec = queue_[pick];
 
     // Fastest free local node wins.
     std::size_t best = SIZE_MAX;
@@ -378,7 +363,7 @@ void ExecutionService::try_dispatch() {
       }
     }
     if (best != SIZE_MAX) {
-      queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
+      take_from_queue(pick);
       start_staging(*rec, best);
       continue;
     }
@@ -398,7 +383,7 @@ void ExecutionService::try_dispatch() {
         }
       }
       if (target) {
-        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
+        take_from_queue(pick);
         const double carried =
             rec->info.spec.checkpointable ? rec->info.cpu_seconds_used : 0.0;
         TaskSpec spec = rec->info.spec;
@@ -443,7 +428,7 @@ bool ExecutionService::try_preempt_for(int priority) {
   }
   detach_from_node(*victim);
   transition(*victim, TaskState::kQueued, "preempted by higher priority task");
-  enqueue(victim->info.spec.id);
+  enqueue(*victim);
   return true;
 }
 
@@ -544,7 +529,7 @@ void ExecutionService::begin_running(const std::string& task_id) {
         r->info.cpu_seconds_used = r->last_checkpoint_cpu;
         r->info.progress = r->last_checkpoint_cpu / r->info.spec.work_seconds;
         transition(*r, TaskState::kQueued, "node failure: restarted from checkpoint");
-        enqueue(task_id);
+        enqueue(*r);
       } else {
         finish(*r, TaskState::kFailed, "node failure");
       }

@@ -97,14 +97,18 @@ class ExecutionService {
   /// All tasks ever submitted here (terminal ones included).
   std::vector<TaskInfo> list_tasks() const;
 
-  /// What for_each_task shows of one task: the list_tasks() fields a walk
-  /// over every task reads, without copying its TaskInfo.
+  /// What view() and for_each_task show of one task: the fields a walk over
+  /// every task reads, without copying its TaskInfo.
   struct TaskView {
     const TaskSpec& spec;
     TaskState state;
     int queue_position;       // as in TaskInfo
     double cpu_seconds_used;  // as in TaskInfo, up to date
   };
+
+  /// query() without the copy; the view lives as long as the task's record
+  /// (until it is resubmitted or flocks away).
+  Result<TaskView> view(const std::string& task_id) const;
 
   /// Calls `fn` for every task list_tasks() would list, in the same order
   /// and with the same values, in place.
@@ -174,9 +178,15 @@ class ExecutionService {
   TaskRec* find(const std::string& task_id);
   const TaskRec* find(const std::string& task_id) const;
 
-  /// Queue order: higher priority first, then submit time, then id.
-  void enqueue(const std::string& task_id);
-  void remove_from_queue(const std::string& task_id);
+  /// Queue order: higher priority first, FIFO within a priority level.
+  /// Every queue operation keeps info.queue_position equal to the task's
+  /// index in queue_ (-1 once it leaves).
+  void enqueue(TaskRec& rec);
+  /// No-op for a task that is not queued.
+  void remove_from_queue(TaskRec& rec);
+  /// Erases queue_[index] and renumbers the tasks behind it.
+  void take_from_queue(std::size_t index);
+  void renumber_from(std::size_t index);
 
   /// Assigns queued tasks to free nodes (and flocked pools) until blocked.
   void try_dispatch();
@@ -204,11 +214,9 @@ class ExecutionService {
   void finish(TaskRec& rec, TaskState terminal, const std::string& detail);
 
   double current_cpu_seconds(const TaskRec& rec) const;
-  /// Point-in-time view of `rec` (query() and list_tasks() share it).
-  TaskInfo snapshot(const TaskRec& rec, int queue_position) const;
-  /// Calls `fn(rec, queue_position)` for every task, in task-id order.
-  template <typename Fn>
-  void walk_tasks(Fn&& fn) const;
+  /// Point-in-time copy of `rec` (query() and list_tasks() share it).
+  TaskInfo snapshot(const TaskRec& rec) const;
+  TaskView view_of(const TaskRec& rec) const;
 
   sim::Simulation& sim_;
   sim::Grid& grid_;
@@ -217,8 +225,11 @@ class ExecutionService {
   ExecOptions options_;
   Rng failure_rng_;
 
+  // Records never move (map nodes); one leaves tasks_ only when it is
+  // terminal (resubmit) or has left the queue (flocking), so queue_ holds
+  // plain pointers. Invariant: queue_ holds exactly the kQueued tasks, once.
   std::map<std::string, TaskRec> tasks_;
-  std::deque<std::string> queue_;                 // waiting task ids, dispatch order
+  std::deque<TaskRec*> queue_;                    // waiting tasks, dispatch order
   std::vector<std::string> node_task_;            // task id per node ("" = free)
   std::vector<bool> node_drained_;                // maintenance mode per node
   std::vector<ExecutionService*> flock_peers_;

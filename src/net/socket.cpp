@@ -22,12 +22,15 @@ Status errno_status(const char* what) {
 
 TcpStream::~TcpStream() { close(); }
 
-TcpStream::TcpStream(TcpStream&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
+TcpStream::TcpStream(TcpStream&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)),
+      recv_timeout_ms_(std::exchange(other.recv_timeout_ms_, -1)) {}
 
 TcpStream& TcpStream::operator=(TcpStream&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
+    recv_timeout_ms_ = std::exchange(other.recv_timeout_ms_, -1);
   }
   return *this;
 }
@@ -103,12 +106,14 @@ Status TcpStream::set_no_delay(bool on) {
 }
 
 Status TcpStream::set_recv_timeout_ms(int ms) {
+  if (ms == recv_timeout_ms_) return Status::ok();
   timeval tv{};
   tv.tv_sec = ms / 1000;
   tv.tv_usec = (ms % 1000) * 1000;
   if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0) {
     return errno_status("setsockopt(SO_RCVTIMEO)");
   }
+  recv_timeout_ms_ = ms;
   return Status::ok();
 }
 
@@ -125,6 +130,7 @@ void TcpStream::close() {
     ::close(fd_);
     fd_ = -1;
   }
+  recv_timeout_ms_ = -1;
 }
 
 TcpListener::~TcpListener() { close(); }

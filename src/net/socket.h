@@ -42,7 +42,8 @@ class TcpStream {
   /// Disables Nagle (small request/response RPC traffic).
   Status set_no_delay(bool on);
 
-  /// Receive timeout; 0 disables.
+  /// Receive timeout; 0 disables. A value equal to the last one set costs
+  /// no system call.
   Status set_recv_timeout_ms(int ms);
 
   /// Shuts down the write side (signals EOF to the peer).
@@ -56,6 +57,7 @@ class TcpStream {
 
  private:
   int fd_ = -1;
+  int recv_timeout_ms_ = -1;  // last value set here; -1 = never set
 };
 
 /// A listening TCP socket bound to 127.0.0.1.

@@ -1,10 +1,16 @@
 // The Estimator Service facade + its estimator.* RPC binding.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
+#include <thread>
+#include <vector>
+
 #include "clarens/host.h"
 #include "common/clock.h"
 #include "estimators/rpc_binding.h"
 #include "estimators/service.h"
+#include "rpc/client.h"
 #include "sim/load.h"
 
 namespace gae::estimators {
@@ -125,7 +131,74 @@ TEST_F(EstimatorServiceTest, RpcBinding) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(host.call("estimator.transferTime", {Value("a")}).status().code(),
             StatusCode::kInvalidArgument);
+  // Byte counts and times that have no integer value are refused, not cast.
+  for (const double bad : {-1.0, std::nan(""), 0x1p64, 1e300}) {
+    EXPECT_EQ(host.call("estimator.transferTime", {Value("site-a"), Value("site-b"), Value(bad)})
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(host.call("estimator.transferTime",
+                        {Value("site-a"), Value("site-b"), Value(1), Value(-bad * 1e30)})
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
   EXPECT_TRUE(host.registry().lookup("estimator@est-host").is_ok());
+}
+
+// One live estimator host and four clients calling runtime, queueTime and
+// transferTime at once, with the transfer probe re-run on most calls: the
+// shared estimators must answer every call (and stay clean under TSan).
+TEST_F(EstimatorServiceTest, LiveHostServesConcurrentClients) {
+  EstimatorService service(db_, std::make_unique<FileTransferEstimator>(grid_));
+  auto runtime = std::make_shared<RuntimeEstimator>(std::make_shared<TaskHistoryStore>());
+  for (int i = 0; i < 4; ++i) runtime->record(attrs(), 120.0, 0);
+  service.add_site("site-a", runtime, exec_.get());
+  for (const char* id : {"running", "waiting"}) {
+    exec::TaskSpec spec;
+    spec.id = id;
+    spec.work_seconds = 100;
+    db_->put(id, 100);
+    ASSERT_TRUE(exec_->submit(spec).is_ok());
+  }
+
+  WallClock wall;
+  clarens::HostOptions opts;
+  opts.require_auth = false;
+  clarens::ClarensHost host("est-live", wall, opts);
+  register_estimator_methods(host, service);
+  auto port = host.serve(0);
+  ASSERT_TRUE(port.is_ok()) << port.status();
+
+  Struct wire_attrs;
+  for (const auto& [k, v] : attrs()) wire_attrs[k] = Value(v);
+  std::atomic<int> errors{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&, c] {
+      rpc::RpcClient client("127.0.0.1", port.value());
+      for (int k = 0; k < 25; ++k) {
+        auto rt = client.call("estimator.runtime", {Value("site-a"), Value(wire_attrs)});
+        auto qt = client.call("estimator.queueTime", {Value("site-a"), Value("waiting")});
+        // A new probe whenever `now` moves past the 300-s TTL.
+        auto xfer = client.call("estimator.transferTime",
+                                {Value("site-a"), Value("site-b"), Value(100'000'000),
+                                 Value(400.0 * (4 * k + c))});
+        if (!rt.is_ok() || std::abs(rt.value().get_double("seconds", 0) - 120.0) > 1e-9) {
+          errors.fetch_add(1);
+        }
+        if (!qt.is_ok() || std::abs(qt.value().get_double("seconds", 0) - 100.0) > 1e-9) {
+          errors.fetch_add(1);
+        }
+        if (!xfer.is_ok() || !(xfer.value().get_double("seconds", 0) > 0)) errors.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  host.stop();
+  EXPECT_EQ(errors.load(), 0);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // swept over random workloads and load profiles.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -152,6 +155,125 @@ TEST(ExecOrdering, NoPriorityInversionAtDispatch) {
     EXPECT_GE(start_order[i - 1].second, start_order[i].second)
         << start_order[i - 1].first << " before " << start_order[i].first;
   }
+}
+
+/// Checks that the queue positions a service reports agree with its queue:
+/// queued_tasks() holds each kQueued task once, in priority-then-FIFO order
+/// (`stamp` numbers enqueues), and query() and list_tasks() report each
+/// task's index in it, or -1 exactly when the task is not queued.
+void expect_queue_consistent(const ExecutionService& exec,
+                             const std::map<std::string, std::uint64_t>& stamp) {
+  SCOPED_TRACE("site " + exec.site());
+  const std::vector<TaskInfo> queued = exec.queued_tasks();
+  std::map<std::string, int> index;
+  for (std::size_t i = 0; i < queued.size(); ++i) {
+    const TaskInfo& t = queued[i];
+    ASSERT_EQ(t.queue_position, static_cast<int>(i)) << t.spec.id;
+    ASSERT_EQ(t.state, TaskState::kQueued) << t.spec.id;
+    ASSERT_TRUE(index.emplace(t.spec.id, static_cast<int>(i)).second) << t.spec.id << " twice";
+    if (i == 0) continue;
+    const TaskInfo& prev = queued[i - 1];
+    ASSERT_GE(prev.spec.priority, t.spec.priority) << prev.spec.id << " before " << t.spec.id;
+    if (prev.spec.priority == t.spec.priority) {
+      ASSERT_LT(stamp.at(prev.spec.id), stamp.at(t.spec.id))
+          << prev.spec.id << " before " << t.spec.id;
+    }
+  }
+  if (!exec.is_up()) {
+    ASSERT_TRUE(queued.empty());
+    return;
+  }
+  std::size_t queued_in_list = 0;
+  for (const TaskInfo& t : exec.list_tasks()) {
+    const auto at = index.find(t.spec.id);
+    const int want = at == index.end() ? -1 : at->second;
+    ASSERT_EQ(t.queue_position, want) << t.spec.id;
+    ASSERT_EQ(t.state == TaskState::kQueued, want >= 0) << t.spec.id;
+    ASSERT_EQ(exec.query(t.spec.id).value().queue_position, want) << t.spec.id;
+    if (want >= 0) ++queued_in_list;
+  }
+  ASSERT_EQ(queued_in_list, index.size());
+}
+
+/// Queue positions stay exact under every operation that moves a task in or
+/// out of the queue: submits and resubmits, suspend, resume, kill,
+/// re-prioritising, preemption, node failure with checkpoint restart,
+/// flocking to a peer pool, fair-share picks, and whole-service failure and
+/// recovery.
+TEST(ExecQueueInvariant, PositionsMatchQueueUnderRandomOperations) {
+  std::size_t max_queued = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    sim::Simulation sim;
+    sim::Grid grid;
+    auto& site = grid.add_site("s");
+    const auto nodes = rng.uniform_int(1, 3);
+    for (std::int64_t n = 0; n < nodes; ++n) site.add_node("n" + std::to_string(n), 1.0, nullptr);
+    grid.add_site("p").add_node("p0", 1.0, nullptr);
+
+    ExecOptions options;
+    options.preemptive = rng.bernoulli(0.5);
+    options.fair_share = rng.bernoulli(0.5);
+    options.mean_time_between_failures = rng.bernoulli(0.5) ? 120.0 : 0.0;
+    options.checkpoint_interval_seconds = rng.bernoulli(0.5) ? 10.0 : 0.0;
+    options.failure_seed = seed;
+    ExecutionService exec(sim, grid, "s", options);
+    ExecutionService peer(sim, grid, "p");
+    if (rng.bernoulli(0.5)) exec.flock_with(&peer);
+
+    // Enqueue order per site: every transition into kQueued enqueues.
+    std::map<std::string, std::map<std::string, std::uint64_t>> stamp;
+    std::uint64_t next_stamp = 0;
+    for (ExecutionService* svc : {&exec, &peer}) {
+      svc->subscribe([&stamp, &next_stamp](const TaskEvent& ev) {
+        if (ev.new_state == TaskState::kQueued) stamp[ev.site][ev.task_id] = next_stamp++;
+      });
+    }
+
+    std::vector<std::string> ids;
+    for (int step = 0; step < 200; ++step) {
+      const double action = rng.uniform(0.0, 1.0);
+      const std::string other = ids.empty() ? "none" : rng.pick(ids);
+      if (action < 0.35 || ids.empty()) {
+        // A new task, or a resubmit of an old id (replaces a terminal record).
+        TaskSpec spec;
+        spec.id = !ids.empty() && rng.bernoulli(0.2) ? other : "t" + std::to_string(step);
+        spec.owner = rng.bernoulli(0.5) ? "alice" : "bob";
+        spec.work_seconds = rng.uniform(5.0, 80.0);
+        spec.priority = static_cast<int>(rng.uniform_int(0, 3));
+        spec.checkpointable = rng.bernoulli(0.5);
+        if (exec.submit(spec).is_ok() && spec.id != other) ids.push_back(spec.id);
+      } else if (action < 0.45) {
+        (void)exec.suspend(other);
+      } else if (action < 0.55) {
+        (void)exec.resume(other);
+      } else if (action < 0.60) {
+        (void)exec.kill(other);
+      } else if (action < 0.72) {
+        // A queued task is re-enqueued without a transition; stamp it first,
+        // as the dispatch that follows may enqueue others.
+        const auto before = exec.query(other);
+        if (before.is_ok() && before.value().state == TaskState::kQueued) {
+          stamp["s"][other] = next_stamp++;
+        }
+        (void)exec.set_priority(other, static_cast<int>(rng.uniform_int(0, 3)));
+      } else if (action < 0.74) {
+        exec.fail_service("injected");
+      } else if (action < 0.78) {
+        exec.recover_service();
+      } else {
+        sim.run_until(sim.now() + from_seconds(rng.uniform(0.0, 20.0)));
+      }
+      SCOPED_TRACE("step " + std::to_string(step));
+      expect_queue_consistent(exec, stamp["s"]);
+      if (HasFatalFailure()) return;
+      expect_queue_consistent(peer, stamp["p"]);
+      if (HasFatalFailure()) return;
+      max_queued = std::max(max_queued, exec.queued_tasks().size());
+    }
+  }
+  EXPECT_GT(max_queued, 10u);  // the queue did grow
 }
 
 }  // namespace

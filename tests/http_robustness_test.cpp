@@ -257,6 +257,28 @@ void connect_pair(std::unique_ptr<Stream>& client, std::unique_ptr<Stream>& serv
   served = std::move(accepted).value();
 }
 
+// set_recv_timeout_ms skips the system call when the value is unchanged;
+// a changed value still reaches the kernel, and a repeated one stays in force.
+TEST(TcpStreamTimeout, RecvTimeoutFollowsTheLastValueSet) {
+  auto listener = net::TcpListener::bind(0);
+  ASSERT_TRUE(listener.is_ok());
+  auto client = net::TcpStream::connect("127.0.0.1", listener.value().port());
+  ASSERT_TRUE(client.is_ok());
+  auto server_side = listener.value().accept();  // held open, never writes
+  ASSERT_TRUE(server_side.is_ok());
+
+  net::TcpStream stream = std::move(client).value();
+  ASSERT_TRUE(stream.set_recv_timeout_ms(30'000).is_ok());
+  ASSERT_TRUE(stream.set_recv_timeout_ms(30'000).is_ok());
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_TRUE(stream.set_recv_timeout_ms(50).is_ok());
+    const auto start = std::chrono::steady_clock::now();
+    char byte = 0;
+    EXPECT_EQ(stream.read_some(&byte, 1).status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+  }
+}
+
 TEST(HttpFraming, RequestRoundTripOverSocket) {
   std::unique_ptr<Stream> client, served;
   ASSERT_NO_FATAL_FAILURE(connect_pair(client, served));
