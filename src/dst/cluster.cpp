@@ -75,16 +75,15 @@ std::string Action::describe() const {
 
 Cluster::Cluster(ClusterOptions options)
     : options_(options),
-      clock_(/*start=*/1'000'000),
-      net_(clock_, options.seed),
+      net_(options.seed, /*start=*/1'000'000),
       rng_(Rng(options.seed).fork("cluster")),
-      clock_a_(clock_),
-      clock_b_(clock_),
-      clock_est_(clock_),
-      clock_steer_(clock_),
-      registry_("arbiter", &clock_, registry_options(kDeadAfterMissed * options.tick)),
-      detector_(clock_, detector_options(options.tick)),
-      supervisor_(clock_, supervisor_options()),
+      clock_a_(net_.clock()),
+      clock_b_(net_.clock()),
+      clock_est_(net_.clock()),
+      clock_steer_(net_.clock()),
+      registry_("arbiter", &net_.clock(), registry_options(kDeadAfterMissed * options.tick)),
+      detector_(net_.clock(), detector_options(options.tick)),
+      supervisor_(net_.clock(), supervisor_options()),
       store_b_(&store_b_inner_),
       health_b_("jobmon-b", &metrics_),
       replica_b_("jobmon", &store_b_),
@@ -92,8 +91,8 @@ Cluster::Cluster(ClusterOptions options)
       health_a_("jobmon-a", &metrics_),
       role_a_(std::make_shared<ha::PrimaryRole>()),
       role_b_(std::make_shared<ha::PrimaryRole>()),
-      admission_a_(clock_),
-      admission_b_(clock_),
+      admission_a_(net_.clock()),
+      admission_b_(net_.clock()),
       host_a_("jobmon-a", clock_a_, open_host()),
       host_b_("jobmon-b", clock_b_, open_host()),
       host_est_("estimator-1", clock_est_, open_host()),
@@ -103,7 +102,7 @@ Cluster::Cluster(ClusterOptions options)
   net_.set_trace_enabled(options_.trace);
   // All deadline math (client budgets, cache TTLs, admission CoDel) runs on
   // virtual time for the cluster's lifetime.
-  rpc::set_steady_clock_override(&clock_);
+  rpc::set_steady_clock_override(&net_.clock());
 
   build_grid();
   build_jobmon_pair();
@@ -158,7 +157,7 @@ void Cluster::build_jobmon_pair() {
 
   // a -> b sync WAL shipping over the simulated network.
   rpc::ClientOptions ship_opts;
-  ship_opts.clock = &clock_;
+  ship_opts.clock = &net_.clock();
   ship_opts.transport = &net_.transport_for("jobmon-a");
   ship_opts.sleep_ms = [this](int ms) { net_.run_for(static_cast<SimDuration>(ms) * 1000); };
   ship_opts.default_call.retry =
@@ -222,7 +221,7 @@ void Cluster::build_jobmon_pair() {
   promotion.role = role_b_;
   promotion.drop_caches = [this] { cache_b_.invalidate_all(); };
   promotion.metrics = &metrics_;
-  promotion.clock = &clock_;
+  promotion.clock = &net_.clock();
   supervisor_.manage(ha::make_promotion_recipe(
       "jobmon-primary", promotion, [this](const ha::Promotion& p) {
         lease_b_ = p.lease;
@@ -273,7 +272,7 @@ void Cluster::build_satellite_services() {
 
 void Cluster::build_clients() {
   rpc::ClientOptions client_opts;
-  client_opts.clock = &clock_;
+  client_opts.clock = &net_.clock();
   client_opts.transport = &net_.transport_for("client-1");
   client_opts.sleep_ms = [this](int ms) { net_.run_for(static_cast<SimDuration>(ms) * 1000); };
   client_opts.default_call.deadline_ms = 400;
@@ -301,7 +300,7 @@ void Cluster::on_acked_update(jobmon::JobMonitoringService* jms, storage::StoreH
   if (!health->writable()) return;
   auto rec = jms->db().get(task_id);
   if (!rec.is_ok()) return;
-  oracle_.update(task_id, rec.value().info, rec.value().site, clock_.now());
+  oracle_.update(task_id, rec.value().info, rec.value().site, net_.now());
   ++writes_acked_;
 }
 
@@ -434,8 +433,8 @@ void Cluster::heartbeat_and_renew() {
 
 void Cluster::advance(SimDuration dt) {
   net_.run_for(dt);
-  // Slave the execution grid's discrete-event world to the master clock.
-  sim_.run_until(clock_.now());
+  // Catch the execution grid's discrete-event world up to the network's.
+  sim_.run_until(net_.now());
 }
 
 void Cluster::tick() {

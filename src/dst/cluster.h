@@ -14,11 +14,13 @@
 //   arbiter       (implicit) registry + failure detector + supervisor; a
 //                 partition from "arbiter" suppresses heartbeats/renewals.
 //
-// Everything shares one ManualClock. The execution grid (sim::Simulation)
-// is slaved to it: after each network advance the grid's event loop is run
-// up to the master clock, so task progress, the collector and the RPC plane
-// interleave on one timeline. Per-node SkewClock wrappers let a schedule
-// skew an individual host's view of time without touching the master.
+// The master clock is the network's: SimNetwork runs on a sim::Simulation
+// and every node reads its clock, which only the network's events move. The
+// execution grid keeps its own sim::Simulation, caught up to the network's
+// time after each network advance, so task progress, the collector and the
+// RPC plane interleave on one timeline. Per-node SkewClock wrappers let a
+// schedule skew an individual host's view of time without touching the
+// master.
 //
 // Between ticks the cluster checks the invariant set from the issue:
 //   I1 no acked-write loss: every update acknowledged while the primary's
@@ -141,8 +143,7 @@ class Cluster {
   const std::vector<std::string>& action_log() const { return action_log_; }
 
   SimNetwork& net() { return net_; }
-  ManualClock& clock() { return clock_; }
-  SimTime now() const { return clock_.now(); }
+  SimTime now() const { return net_.now(); }
 
   bool promoted() const { return promoted_; }
   bool primary_killed() const { return primary_killed_; }
@@ -181,7 +182,6 @@ class Cluster {
   void apply_kill_partitions();
 
   ClusterOptions options_;
-  ManualClock clock_;
   SimNetwork net_;
   Rng rng_;
   telemetry::MetricsRegistry metrics_;

@@ -11,7 +11,7 @@ std::string fmt_bytes(std::size_t n) { return std::to_string(n) + "B"; }
 
 }  // namespace
 
-SimNetwork::SimNetwork(ManualClock& clock, std::uint64_t seed) : clock_(clock), rng_(seed) {}
+SimNetwork::SimNetwork(std::uint64_t seed, SimTime start) : sim_(start), rng_(seed) {}
 
 SimNetwork::~SimNetwork() = default;
 
@@ -80,7 +80,7 @@ void SimNetwork::kill_node(const std::string& node) {
       SimTime at = std::max(peer->arrival_floor, now() + sample_latency());
       peer->arrival_floor = at;
       std::weak_ptr<Endpoint> weak_peer = peer;
-      schedule(at, [this, weak_peer] {
+      sim_.schedule_at(at, [this, weak_peer] {
         if (auto p = weak_peer.lock()) break_pair(p);
       });
     }
@@ -88,15 +88,7 @@ void SimNetwork::kill_node(const std::string& node) {
   endpoints_ = std::move(kept);
 }
 
-void SimNetwork::run_for(SimDuration dt) {
-  const SimTime until = clock_.now() + dt;
-  while (!events_.empty() && events_.top().at <= until) pump_one();
-  clock_.advance_to(until);
-}
-
-void SimNetwork::drain(std::size_t max_events) {
-  while (!events_.empty() && max_events-- > 0) pump_one();
-}
+void SimNetwork::run_for(SimDuration dt) { sim_.run_until(now() + dt); }
 
 Result<std::uint16_t> SimNetwork::listen_push(const std::string& node, std::uint16_t port,
                                               std::function<void(std::unique_ptr<SimStream>)> cb) {
@@ -150,7 +142,6 @@ Result<std::unique_ptr<rpc::Stream>> SimNetwork::connect(const std::string& from
   server->peer = client;
   endpoints_.push_back(client);
   endpoints_.push_back(server);
-  ++connects_;
 
   // The connection reaches the listener after one link latency; data chunks
   // written meanwhile are floored behind it.
@@ -159,7 +150,7 @@ Result<std::unique_ptr<rpc::Stream>> SimNetwork::connect(const std::string& from
   trace_line("t=" + std::to_string(now()) + " conn#" + std::to_string(id) + " connect " +
              from_node + "->" + host + ":" + std::to_string(port));
   std::weak_ptr<PortState> weak_ps = ps;
-  schedule(arrival, [this, weak_ps, server, from_node, host] {
+  sim_.schedule_at(arrival, [this, weak_ps, server, from_node, host] {
     auto port_state = weak_ps.lock();
     if (!port_state || !port_state->open || partitioned(from_node, host)) {
       break_pair(server);
@@ -199,10 +190,9 @@ Result<std::unique_ptr<rpc::Stream>> SimNetwork::accept(const std::shared_ptr<Po
       ps->pending.pop_front();
       return std::unique_ptr<rpc::Stream>(new SimStream(this, ep));
     }
-    if (events_.empty()) {
+    if (!sim_.step()) {
       return unavailable_error("simulated accept would block forever (no pending connects)");
     }
-    pump_one();
   }
 }
 
@@ -226,22 +216,20 @@ Status SimNetwork::send(const std::shared_ptr<Endpoint>& from, const void* data,
   if (drop) {
     // A lost segment on a no-retransmit reliable stream kills the
     // connection at the instant the bytes should have landed.
-    ++drops_;
     trace_line("t=" + std::to_string(now()) + " conn#" + std::to_string(from->conn_id) +
                " drop " + fmt_bytes(len) + " (breaks at t=" + std::to_string(arrival) + ")");
-    schedule(arrival, [this, to] { break_pair(to); });
+    sim_.schedule_at(arrival, [this, to] { break_pair(to); });
     return Status::ok();  // the writer cannot see the loss yet
   }
 
   trace_line("t=" + std::to_string(now()) + " conn#" + std::to_string(from->conn_id) + " send " +
              from->node + "->" + to->node + " " + fmt_bytes(len) + " arrives t=" +
              std::to_string(arrival));
-  schedule(arrival, [this, to, chunk] { deliver(to, chunk, false); });
+  sim_.schedule_at(arrival, [this, to, chunk] { deliver(to, chunk, false); });
   if (dup) {
-    ++dups_;
     const SimTime dup_at = std::max(to->arrival_floor, arrival + 1 + sample_latency());
     to->arrival_floor = dup_at;
-    schedule(dup_at, [this, to, chunk] { deliver(to, chunk, true); });
+    sim_.schedule_at(dup_at, [this, to, chunk] { deliver(to, chunk, true); });
   }
   return Status::ok();
 }
@@ -261,17 +249,17 @@ Result<std::size_t> SimNetwork::read_some(const std::shared_ptr<Endpoint>& ep, v
     if (ep->broken) return unavailable_error("connection reset (sim)");
     if (ep->eof) return static_cast<std::size_t>(0);
     if (ep->closed) return unavailable_error("read on closed stream");
-    if (events_.empty() || (deadline >= 0 && events_.top().at > deadline)) {
-      if (deadline >= 0) {
-        // Nothing can arrive before the receive timeout: virtual time jumps
-        // straight to the deadline. This is where blocked reads "wait".
-        clock_.advance_to(deadline);
-        return deadline_exceeded_error("simulated recv timeout");
+    if (deadline < 0) {
+      if (!sim_.step()) {
+        return unavailable_error(
+            "simulated read would block forever (no pending deliveries, no recv timeout)");
       }
-      return unavailable_error(
-          "simulated read would block forever (no pending deliveries, no recv timeout)");
+    } else if (!sim_.step_until(deadline)) {
+      // Nothing can arrive before the receive timeout: virtual time jumps
+      // straight to the deadline. This is where blocked reads "wait".
+      sim_.run_until(deadline);
+      return deadline_exceeded_error("simulated recv timeout");
     }
-    pump_one();
   }
 }
 
@@ -289,7 +277,7 @@ void SimNetwork::shutdown_endpoint(const std::shared_ptr<Endpoint>& ep) {
     const SimTime at = std::max(peer->arrival_floor, now() + sample_latency());
     peer->arrival_floor = at;
     std::weak_ptr<Endpoint> weak_peer = peer;
-    schedule(at, [this, weak_peer] {
+    sim_.schedule_at(at, [this, weak_peer] {
       if (auto p = weak_peer.lock()) deliver_fin(p);
     });
   }
@@ -305,7 +293,7 @@ void SimNetwork::close_endpoint(const std::shared_ptr<Endpoint>& ep) {
       const SimTime at = std::max(peer->arrival_floor, now() + sample_latency());
       peer->arrival_floor = at;
       std::weak_ptr<Endpoint> weak_peer = peer;
-      schedule(at, [this, weak_peer] {
+      sim_.schedule_at(at, [this, weak_peer] {
         if (auto p = weak_peer.lock()) deliver_fin(p);
       });
     }
@@ -314,32 +302,15 @@ void SimNetwork::close_endpoint(const std::shared_ptr<Endpoint>& ep) {
 
 // -- Internals ---------------------------------------------------------------
 
-void SimNetwork::schedule(SimTime at, std::function<void()> fn) {
-  events_.push(Event{std::max(at, now()), next_seq_++, std::move(fn)});
-}
-
-void SimNetwork::pump_one() {
-  // priority_queue::top is const; the event is copied cheaply (shared_ptr
-  // captures) and popped before firing so re-entrant pumps see a consistent
-  // heap.
-  Event ev = events_.top();
-  events_.pop();
-  clock_.advance_to(ev.at);
-  ++events_fired_;
-  ev.fn();
-}
-
 void SimNetwork::deliver(const std::shared_ptr<Endpoint>& to, const std::string& chunk,
                          bool is_dup) {
   if (to->closed || to->broken) return;
   if (partitioned(to->peer_node, to->node)) {
-    ++blackholes_;
     trace_line("t=" + std::to_string(now()) + " conn#" + std::to_string(to->conn_id) +
                " blackhole " + fmt_bytes(chunk.size()) + " (" + to->peer_node + "->" + to->node +
                ")");
     return;
   }
-  ++deliveries_;
   to->rbuf += chunk;
   trace_line("t=" + std::to_string(now()) + " conn#" + std::to_string(to->conn_id) +
              (is_dup ? " deliver-dup " : " deliver ") + fmt_bytes(chunk.size()) + " to " +
@@ -351,10 +322,7 @@ void SimNetwork::deliver_fin(const std::shared_ptr<Endpoint>& to) {
   if (to->closed || to->broken || to->eof) return;
   // A FIN travels in-band; a partition blackholes it too (the peer just
   // never learns, and times out).
-  if (partitioned(to->peer_node, to->node)) {
-    ++blackholes_;
-    return;
-  }
+  if (partitioned(to->peer_node, to->node)) return;
   to->eof = true;
   trace_line("t=" + std::to_string(now()) + " conn#" + std::to_string(to->conn_id) + " eof at " +
              to->node);

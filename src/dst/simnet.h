@@ -1,9 +1,10 @@
 // The simulated network behind the rpc::Transport seam.
 //
 // One SimNetwork replaces every socket in the process: each node gets a
-// SimTransport whose streams move bytes through a single (time, seq)-ordered
-// event heap over the cluster's shared ManualClock. All nondeterminism comes
-// from one seeded Rng, so a schedule replays bit-identically from its seed.
+// SimTransport whose streams move bytes as events on the network's own
+// sim::Simulation, whose clock is the virtual time every simulated node
+// reads. All nondeterminism comes from one seeded Rng, so a schedule replays
+// bit-identically from its seed.
 //
 // The fault model is TCP-honest:
 //  - delivery within one connection direction is FIFO
@@ -19,11 +20,11 @@
 //  - a directed partition blackholes at delivery time (the reader times out
 //    on virtual time) and refuses at connect time.
 //
-// Blocking semantics under virtual time: a read with no buffered bytes pumps
-// the event heap, advancing the clock event-by-event, until data/EOF/break
+// Blocking semantics under virtual time: a read with no buffered bytes steps
+// the engine, advancing the clock event-by-event, until data/EOF/break
 // arrives or the stream's receive timeout expires (the clock jumps to the
 // deadline and the read returns DEADLINE_EXCEEDED). A read that could never
-// complete — heap drained, no timeout — returns UNAVAILABLE instead of
+// complete — no events left, no timeout — returns UNAVAILABLE instead of
 // hanging, so a wedged schedule surfaces as an error, never a stuck process.
 #pragma once
 
@@ -32,7 +33,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <queue>
 #include <set>
 #include <string>
 #include <utility>
@@ -43,6 +43,7 @@
 #include "common/status.h"
 #include "common/time_types.h"
 #include "rpc/transport.h"
+#include "sim/engine.h"
 
 namespace gae::dst {
 
@@ -69,14 +70,16 @@ struct LinkOptions {
 /// stream/listener it hands out must be used from the simulation thread.
 class SimNetwork {
  public:
-  SimNetwork(ManualClock& clock, std::uint64_t seed);
+  explicit SimNetwork(std::uint64_t seed, SimTime start = 0);
   ~SimNetwork();
 
   SimNetwork(const SimNetwork&) = delete;
   SimNetwork& operator=(const SimNetwork&) = delete;
 
-  SimTime now() const { return clock_.now(); }
-  ManualClock& clock() { return clock_; }
+  SimTime now() const { return sim_.now(); }
+  /// The network's virtual time: firing events, run_for() and expired
+  /// receive timeouts move it, nothing else.
+  const Clock& clock() const { return sim_.clock(); }
 
   /// The rpc::Transport a given node dials and listens through (lazily
   /// created; stable for the network's lifetime).
@@ -104,9 +107,6 @@ class SimNetwork {
   /// Fires every delivery due within dt, then lands the clock at now + dt.
   void run_for(SimDuration dt);
 
-  /// Fires events until the heap is empty (bounded by max_events).
-  void drain(std::size_t max_events = 1'000'000);
-
   // -- Server-push listening (SimHost) -------------------------------------
 
   /// Like listen(), but each arriving connection is handed to `cb` at its
@@ -123,14 +123,6 @@ class SimNetwork {
   /// byte-identical trace.
   void set_trace_enabled(bool on) { trace_enabled_ = on; }
   const std::vector<std::string>& trace() const { return trace_; }
-  void clear_trace() { trace_.clear(); }
-
-  std::uint64_t deliveries() const { return deliveries_; }
-  std::uint64_t drops() const { return drops_; }
-  std::uint64_t dups() const { return dups_; }
-  std::uint64_t blackholes() const { return blackholes_; }
-  std::uint64_t connects() const { return connects_; }
-  std::uint64_t events_fired() const { return events_fired_; }
 
  private:
   friend class SimStream;
@@ -167,18 +159,6 @@ class SimNetwork {
     std::function<void(std::unique_ptr<SimStream>)> on_connection;
   };
 
-  struct Event {
-    SimTime at = 0;
-    std::uint64_t seq = 0;
-    std::function<void()> fn;
-  };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
   // Transport entry points (called by SimStream / SimListener / SimTransport).
   Result<std::unique_ptr<rpc::Stream>> connect(const std::string& from_node,
                                                const std::string& host, std::uint16_t port);
@@ -190,8 +170,6 @@ class SimNetwork {
   void shutdown_endpoint(const std::shared_ptr<Endpoint>& ep);
   void close_endpoint(const std::shared_ptr<Endpoint>& ep);
 
-  void schedule(SimTime at, std::function<void()> fn);
-  void pump_one();
   void deliver(const std::shared_ptr<Endpoint>& to, const std::string& chunk, bool is_dup);
   void deliver_fin(const std::shared_ptr<Endpoint>& to);
   void break_pair(const std::shared_ptr<Endpoint>& ep);
@@ -200,11 +178,9 @@ class SimNetwork {
   void trace_line(const std::string& line);
   std::shared_ptr<PortState> find_port(const std::string& node, std::uint16_t port);
 
-  ManualClock& clock_;
+  sim::Simulation sim_;
   Rng rng_;
   LinkOptions link_;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> events_;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t next_conn_id_ = 1;
   std::uint16_t next_auto_port_ = 40'000;
   std::map<std::string, std::unique_ptr<SimTransport>> transports_;
@@ -213,12 +189,6 @@ class SimNetwork {
   std::vector<std::weak_ptr<Endpoint>> endpoints_;
   bool trace_enabled_ = false;
   std::vector<std::string> trace_;
-  std::uint64_t deliveries_ = 0;
-  std::uint64_t drops_ = 0;
-  std::uint64_t dups_ = 0;
-  std::uint64_t blackholes_ = 0;
-  std::uint64_t connects_ = 0;
-  std::uint64_t events_fired_ = 0;
 };
 
 /// rpc::Stream over a simulated connection endpoint.

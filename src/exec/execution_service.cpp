@@ -373,14 +373,16 @@ void ExecutionService::try_dispatch() {
       continue;  // a node is free now; re-run the placement loop
     }
 
-    // No free local node: try flocking the head task to a peer pool.
+    // No free local node: try flocking the head task to a peer pool. A peer
+    // that holds a live task with this id would refuse it, so it is skipped.
     if (!rec->flocked_in && !flock_peers_.empty()) {
       ExecutionService* target = nullptr;
       for (ExecutionService* peer : flock_peers_) {
-        if (peer->is_up() && peer->free_nodes() > 0) {
-          target = peer;
-          break;
-        }
+        if (!peer->is_up() || peer->free_nodes() == 0) continue;
+        const TaskRec* held = peer->find(rec->info.spec.id);
+        if (held && !is_terminal(held->info.state)) continue;
+        target = peer;
+        break;
       }
       if (target) {
         take_from_queue(pick);

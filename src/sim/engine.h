@@ -3,12 +3,13 @@
 // Single-threaded and deterministic: events at equal timestamps fire in
 // scheduling order. The grid experiments (fig. 7, steering ablations) run
 // entirely in virtual time, so a 20-minute grid scenario executes in
-// milliseconds and reproduces bit-for-bit.
+// milliseconds and reproduces bit-for-bit. dst::SimNetwork schedules every
+// simulated delivery on one of these too.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <unordered_set>
 #include <vector>
 
@@ -22,7 +23,10 @@ inline constexpr EventId kInvalidEvent = 0;
 
 class Simulation {
  public:
-  Simulation() = default;
+  /// Heaps at most this large are never rebuilt to shed cancelled entries.
+  static constexpr std::size_t kCompactionFloor = 64;
+
+  explicit Simulation(SimTime start = 0) : clock_(start) {}
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
@@ -42,6 +46,10 @@ class Simulation {
   /// Cancels a pending event; false if it already fired or never existed.
   bool cancel(EventId id);
 
+  /// Fires the next event if it is due at or before `t`; false (and the
+  /// clock stays put) when the queue is empty or its next event is later.
+  bool step_until(SimTime t);
+
   /// Fires the next event; false when the queue is empty.
   bool step();
 
@@ -54,7 +62,9 @@ class Simulation {
 
   bool empty() const { return live_.empty(); }
 
-  std::uint64_t events_fired() const { return fired_; }
+  /// Entries in the heap, cancelled ones not yet shed included. Never more
+  /// than twice the pending events plus kCompactionFloor.
+  std::size_t queued() const { return queue_.size(); }
 
  private:
   struct Event {
@@ -69,14 +79,17 @@ class Simulation {
     }
   };
 
+  /// Removes the heap's top entry and returns it.
+  Event pop();
+
   ManualClock clock_;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  /// A min-heap under Later (std::push_heap / std::pop_heap).
+  std::vector<Event> queue_;
   /// Ids of the events still pending: scheduled, neither fired nor
   /// cancelled. A queued event whose id is missing here was cancelled and is
   /// skipped when popped.
   std::unordered_set<EventId> live_;
   EventId next_id_ = 1;
-  std::uint64_t fired_ = 0;
 };
 
 }  // namespace gae::sim

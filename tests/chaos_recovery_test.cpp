@@ -172,7 +172,7 @@ class TcpChaosEnv {
 class SimChaosEnv {
  public:
   explicit SimChaosEnv(std::shared_ptr<rpc::Dispatcher> dispatcher)
-      : net_(clock_, /*seed=*/19),
+      : net_(/*seed=*/19),
         dispatcher_(std::move(dispatcher)),
         host_(net_, "server", dispatcher_, 0) {
     EXPECT_TRUE(host_.start().is_ok());
@@ -199,12 +199,11 @@ class SimChaosEnv {
   /// The client reads the network's clock, and its backoff sleeps run the
   /// network forward: no wall-clock sleep anywhere.
   void virtualize(rpc::ClientOptions& options) {
-    options.clock = &clock_;
+    options.clock = &net_.clock();
     options.sleep_ms = [this](int ms) { net_.run_for(static_cast<SimDuration>(ms) * 1000); };
   }
 
  private:
-  ManualClock clock_;
   dst::SimNetwork net_;
   std::shared_ptr<rpc::Dispatcher> dispatcher_;
   dst::SimHost host_;

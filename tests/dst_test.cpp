@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/rng.h"
 #include "dst/cluster.h"
 #include "dst/explore.h"
@@ -79,7 +78,7 @@ class TcpTransportEnv {
 
 class SimTransportEnv {
  public:
-  SimTransportEnv() : net_(clock_, /*seed=*/7) {
+  SimTransportEnv() : net_(/*seed=*/7) {
     auto port = net_.listen_push("server", 0, [this](std::unique_ptr<SimStream> stream) {
       conns_.push_back(std::move(stream));
       SimStream* conn = conns_.back().get();
@@ -102,7 +101,6 @@ class SimTransportEnv {
   std::uint16_t dead_port() const { return 9999; }
 
  private:
-  ManualClock clock_;
   SimNetwork net_;
   std::vector<std::unique_ptr<SimStream>> conns_;
   std::uint16_t echo_port_ = 0;

@@ -410,6 +410,30 @@ TEST_F(ExecTest, NoFlockWhenPeerBusy) {
   EXPECT_EQ(exec_a.query("waiter").value().state, TaskState::kQueued);
 }
 
+TEST_F(ExecTest, NoFlockToPeerHoldingLiveTaskWithSameId) {
+  // Regression: the task was erased locally before the peer refused it
+  // (ALREADY_EXISTS), so it existed at neither site while submit() said OK.
+  auto& site_b = grid_.add_site("site-b");
+  site_b.add_node("b0", 1.0, nullptr);
+  site_b.add_node("b1", 1.0, nullptr);
+  ExecutionService exec_a(sim_, grid_, "site-a");
+  ExecutionService exec_b(sim_, grid_, "site-b");
+  exec_a.flock_with(&exec_b);
+  ASSERT_TRUE(exec_b.submit(make_spec("t", 100.0)).is_ok());
+  ASSERT_TRUE(exec_a.submit(make_spec("busy", 100.0)).is_ok());
+
+  ASSERT_TRUE(exec_a.submit(make_spec("t", 10.0)).is_ok());
+  auto local = exec_a.query("t");
+  ASSERT_TRUE(local.is_ok());
+  EXPECT_EQ(local.value().state, TaskState::kQueued);
+
+  sim_.run();
+  // Each site ran its own "t": b's from t=0, a's once "busy" freed a0.
+  EXPECT_EQ(exec_b.query("t").value().completion_time, from_seconds(100.0));
+  EXPECT_EQ(exec_a.query("t").value().state, TaskState::kCompleted);
+  EXPECT_EQ(exec_a.query("t").value().completion_time, from_seconds(110.0));
+}
+
 TEST_F(ExecTest, ListTasksIncludesTerminal) {
   ExecutionService exec(sim_, grid_, "site-a");
   ASSERT_TRUE(exec.submit(make_spec("t1", 1.0)).is_ok());

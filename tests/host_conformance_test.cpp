@@ -44,7 +44,7 @@ class TcpHostEnv {
 
 class SimHostEnv {
  public:
-  SimHostEnv() : net_(clock_, /*seed=*/11) {}
+  SimHostEnv() : net_(/*seed=*/11) {}
 
   void start(std::shared_ptr<rpc::Dispatcher> dispatcher, rpc::ConnectionOptions options) {
     host_ = std::make_unique<dst::SimHost>(net_, "server", std::move(dispatcher), 0, options);
@@ -56,7 +56,6 @@ class SimHostEnv {
   }
 
  private:
-  ManualClock clock_;
   dst::SimNetwork net_;
   std::unique_ptr<dst::SimHost> host_;
 };

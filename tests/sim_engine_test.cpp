@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 namespace gae::sim {
@@ -160,6 +161,67 @@ TEST(Simulation, CancelAfterFiringIsRefusedAndLeavesNoGhost) {
   EXPECT_EQ(sim.run(), 1u);
   EXPECT_EQ(fired, 2);
   EXPECT_TRUE(sim.empty());
+}
+
+TEST(Simulation, StepUntilFiresOnlyDueEvents) {
+  Simulation sim;
+  std::vector<int> order;
+  sim.schedule_at(100, [&] { order.push_back(1); });
+  sim.schedule_at(200, [&] { order.push_back(2); });
+  const EventId cancelled = sim.schedule_at(50, [&] { order.push_back(0); });
+  sim.cancel(cancelled);
+
+  EXPECT_FALSE(sim.step_until(99));  // the cancelled event at 50 does not count
+  EXPECT_EQ(sim.now(), 0);           // and the clock stays put
+  EXPECT_TRUE(sim.step_until(100));  // due exactly at the bound
+  EXPECT_EQ(sim.now(), 100);
+  EXPECT_FALSE(sim.step_until(150));
+  EXPECT_EQ(sim.now(), 100);
+  EXPECT_TRUE(sim.step_until(1000));  // fires one event, not all that are due
+  EXPECT_EQ(sim.now(), 200);
+  EXPECT_FALSE(sim.step_until(1000));  // queue empty
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(Simulation, CancelledEventsDoNotAccumulate) {
+  // Regression: cancel() only forgot the id, so every cancelled event (and
+  // its std::function) stayed in the heap until its time came round.
+  Simulation sim;
+  constexpr int kPending = 10;
+  int fired = 0;
+  for (int i = 0; i < kPending; ++i) sim.schedule_at(1'000'000 + i, [&] { ++fired; });
+  for (int i = 0; i < 100'000; ++i) {
+    EXPECT_TRUE(sim.cancel(sim.schedule_after(10 + i % 7, [&] { ++fired; })));
+    ASSERT_LE(sim.queued(), 2 * kPending + Simulation::kCompactionFloor) << "cycle " << i;
+  }
+  EXPECT_EQ(sim.run(), static_cast<std::uint64_t>(kPending));
+  EXPECT_EQ(fired, kPending);
+  EXPECT_EQ(sim.queued(), 0u);
+}
+
+TEST(Simulation, FireOrderSurvivesHeapRebuilds) {
+  // Rebuilding the heap to shed cancelled entries must not move the
+  // (time, schedule order) firing sequence of the events that remain.
+  Simulation sim;
+  std::vector<int> order;
+  std::vector<EventId> doomed;
+  for (int i = 0; i < 1000; ++i) {
+    const SimTime at = (i * 37) % 100;
+    if (i % 3 == 0) {
+      sim.schedule_at(at, [&order, i] { order.push_back(i); });
+    } else {
+      doomed.push_back(sim.schedule_at(at, [] { FAIL() << "cancelled event fired"; }));
+    }
+  }
+  for (EventId id : doomed) sim.cancel(id);
+  EXPECT_LT(sim.queued(), 1000u);
+  sim.run();
+
+  std::vector<int> expected;
+  for (int i = 0; i < 1000; i += 3) expected.push_back(i);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](int a, int b) { return (a * 37) % 100 < (b * 37) % 100; });
+  EXPECT_EQ(order, expected);
 }
 
 }  // namespace
